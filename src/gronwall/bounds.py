@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as expr_mod
-from .grid import Grid, GridFunction, cumulative_trapezoid, running_sup
-from .kernels import Kernel, KernelSet, _TermEvaluator, _weights, compute_B, compute_B1, apply_Q, apply_R
+from .grid import Grid, GridFunction, constant, cumulative_trapezoid, running_sup
+from .kernels import Kernel, KernelSet, apply_Q, apply_R, compute_B, compute_B1
 
 __all__ = [
     "HorizonKind",
@@ -445,58 +445,19 @@ def thm34_bound(inst: ProblemInstance) -> BoundResult:
     return _q_form_result(g, b, bracket, q, search_always=True)
 
 
-def _cor35_R(inst: ProblemInstance) -> np.ndarray:
-    g = inst.grid
-    T, W = g.nodes, _weights(g)
-    out = np.zeros(g.m + 1)
-    k, h = inst.kernels.k, inst.kernels.h
-    if k is not None and not k.is_zero:
-        out += _TermEvaluator(k, False, "k").eval_vector({"t": T, "t1": T})
-    if h is not None and not h.is_zero:
-        col = T[:, None]
-        hv = _TermEvaluator(h, False, "h").eval_matrix(
-            {"t": col, "t1": col, "t2": T[None, :]}
-        )
-        out += np.einsum("jl,jl->j", W, hv)
-    return out
-
-
-def _cor35_Q(inst: ProblemInstance) -> np.ndarray:
-    g = inst.grid
-    T, W = g.nodes, _weights(g)
-    out = np.zeros(g.m + 1)
-    k, h = inst.kernels.k, inst.kernels.h
-    if k is not None and not (k.dt_is_zero or k.is_zero):
-        ev = _TermEvaluator(k, True, "k")
-        kd = ev.eval_matrix({"t": T[:, None], "t1": T[None, :]})
-        out += np.einsum("jl,jl->j", W, kd)
-    if h is not None and not (h.dt_is_zero or h.is_zero):
-        ev = _TermEvaluator(h, True, "h")
-        if "t" not in ev.vars_used:
-            hd = ev.eval_matrix({"t1": T[:, None], "t2": T[None, :]})
-            out += W @ np.einsum("ln,ln->l", W, hd)
-        else:
-            for j in range(1, g.m + 1):
-                s = slice(0, j + 1)
-                hd = ev.eval_matrix(
-                    {"t": T[j], "t1": T[s, None], "t2": T[None, s]}
-                )
-                out[j] += W[j, s] @ np.einsum("ln,ln->l", W[s, s], hd)
-    if not np.isfinite(out).all():
-        j = int(np.argmin(np.isfinite(out)))
-        raise HypothesisError(f"kernel t-derivative non-finite at node {j}")
-    return out
-
-
 def cor35_bound(inst: ProblemInstance) -> BoundResult:
     """Direct-kernel bound [a^q + q int (R + Q)]^(1/q).
 
+    R + Q is ``apply_R + apply_Q`` on the iterated set (k, h) with w = 1:
     R(t) = k(t,t) + int_a^t h(t,t,r) dr and Q integrates the kernel
     t-derivatives (explicit expressions or central differences).
     """
     _require_theorem(inst, "cor35")
     g, q = inst.grid, inst.q
-    RQ = GridFunction(g, _cor35_R(inst) + _cor35_Q(inst))
+    k, h = inst.kernels.k, inst.kernels.h
+    ks = KernelSet.iterated([k or Kernel(1, "0")] + ([h] if h is not None else []))
+    ones = constant(1.0, g)
+    RQ = apply_R(ks, ones, g) + apply_Q(ks, ones, g)
     with np.errstate(all="ignore"):
         bracket = np.power(inst.a_const, q) + q * cumulative_trapezoid(RQ).values
     return _q_form_result(g, 1.0, bracket, q, search_always=True)

@@ -385,8 +385,12 @@ def cmd_suite(
         raise ConfigError(
             f"suite supports theorem in {SUITE_FAMILIES}, got {cfg.theorem!r}"
         )
-    cases = cases if cases is not None else (cfg.cases or DEFAULT_SUITE_CASES)
-    seed = seed if seed is not None else (cfg.seed or DEFAULT_SUITE_SEED)
+    if cases is None:
+        cases = DEFAULT_SUITE_CASES if cfg.cases is None else cfg.cases
+    if seed is None:
+        seed = DEFAULT_SUITE_SEED if cfg.seed is None else cfg.seed
+    if cases < 1:
+        raise ConfigError(f"cases must be at least 1, got {cases}")
     m = cfg.m if cfg.m is not None else DEFAULT_SUITE_M
     lines = ["seed,p,pass,max_violation,horizon_time"]
     n_failed = 0
@@ -445,3 +449,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

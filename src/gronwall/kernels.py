@@ -7,24 +7,35 @@ simplex ``alpha <= ti <= ... <= t1 <= t``.  The two-variable kernel
 kernel ``h(t, s, r)`` has arity 2.
 
 All quadrature is nested composite trapezoid on the shared grid, with
-inner integrals over fewer than two nodes evaluating to zero.  An
-arity-``i`` term with full ``t``-dependence costs ``O(m^i)`` per outer
-node; kernels whose active expression does not involve ``t`` are
-integrated in a single pass.  Kernels must be nonnegative where sampled
-(tolerance -1e-12); violations raise :class:`NegativeKernelError` naming
-the node.
+inner integrals over fewer than two nodes evaluating to zero.  A kernel
+term pins ``t`` and its first ``n_diag`` inner slots to the outer node,
+integrates the other ``depth = arity - n_diag`` slots and carries a weight
+``w`` on the innermost one.  It is linear in ``w``, so it is assembled
+once into a lower-triangular map of one of three shapes:
+
+- a diagonal ``d`` (depth 0): ``term(w) = d * w``; O(m) to build;
+- a matrix ``A`` (the kernel reads ``t`` or a pinned slot):
+  ``term(w) = A @ w``; O(m^2) memory, O(m^(depth+1)) to build;
+- an inner map ``C`` followed by a running trapezoid sum (the kernel
+  ignores ``t`` and the pinned slots): ``term(w) =
+  cumulative_trapezoid(C @ w)``; ``C`` is a diagonal at depth 1 and a
+  matrix costing O(m^depth) to build otherwise.
+
+Applying a map costs O(m) or one O(m^2) mat-vec.  Kernels must be
+nonnegative where sampled (tolerance -1e-12); violations raise
+:class:`NegativeKernelError` naming the node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import expr as expr_mod
 from .expr import Expr, Num, free_variables, parse, rename_variables
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, cumulative_trapezoid
 
 __all__ = [
     "Kernel",
@@ -153,25 +164,6 @@ class KernelSet:
             raise KernelError(f"expected a {form!r} kernel set, got {self.form!r}")
 
 
-@lru_cache(maxsize=6)
-def _weight_matrix(m: int, dt: float) -> np.ndarray:
-    """W[L, l] = trapezoid weight of node l for the integral up to node L.
-
-    Row 0 is zero: an integral over a single node vanishes.
-    """
-    W = np.tril(np.full((m + 1, m + 1), dt))
-    W[:, 0] = dt / 2.0
-    idx = np.arange(m + 1)
-    W[idx, idx] = dt / 2.0
-    W[0, 0] = 0.0
-    W.flags.writeable = False
-    return W
-
-
-def _weights(g: Grid) -> np.ndarray:
-    return _weight_matrix(g.m, g.dt)
-
-
 def _eval_on(e: Expr, ctx: dict) -> np.ndarray:
     shape = np.broadcast_shapes(*(np.shape(v) for v in ctx.values()))
     out = np.asarray(expr_mod.evaluate(e, ctx))
@@ -234,6 +226,99 @@ class _TermEvaluator:
         return vals
 
 
+class _TermMap(NamedTuple):
+    """A kernel term as the linear map ``w -> inner . w``, followed by a
+    running trapezoid sum when ``cumulative``.
+
+    ``inner`` is a diagonal (a vector) or a lower-triangular matrix.
+    """
+
+    inner: np.ndarray
+    cumulative: bool
+
+    def apply(self, w: np.ndarray, g: Grid) -> np.ndarray:
+        out = self.inner * w if self.inner.ndim == 1 else self.inner @ w
+        if self.cumulative:
+            out = cumulative_trapezoid(GridFunction(g, out)).values
+        return out
+
+
+def _trapezoid_rows(vals: np.ndarray, dt: float) -> np.ndarray:
+    """Scale row ``x`` of a lower-triangular matrix by the trapezoid weights
+    of an integral up to node ``x``, in place.
+
+    Row 0 is multiplied by zero (an integral over a single node vanishes),
+    so a non-finite sample there still shows in the result.
+    """
+    vals *= dt
+    vals[:, 0] *= 0.5
+    idx = np.arange(len(vals))
+    vals[idx, idx] *= 0.5
+    vals[0, 0] *= 0.0
+    return vals
+
+
+def _nested_rows(
+    ev: _TermEvaluator, g: Grid, outer: list, ints: list, fixed: dict, n: int
+) -> np.ndarray:
+    """Weights of the nested trapezoid rule for the outer nodes ``x < n``.
+
+    Row ``x`` holds the weights on ``w`` of the iterated integral of the
+    kernel over ``T[x] >= ints[0] >= ... >= ints[-1]``, with the ``outer``
+    slots at ``T[x]``, the slots in ``fixed`` held and ``w`` at the
+    innermost slot.  The last two variables are sampled as one matrix;
+    deeper levels recurse one node at a time.
+    """
+    T = g.nodes[:n]
+    if len(ints) == 1:
+        col = T[:, None]
+        ctx = {**fixed, **{name: col for name in outer}, ints[0]: T[None, :]}
+        return _trapezoid_rows(ev.eval_matrix(ctx), g.dt)
+    rows = np.zeros((n, n))
+    for x in range(1, n):
+        at = {**fixed, **{name: T[x] for name in outer}}
+        weights = np.full(x + 1, g.dt)
+        weights[[0, x]] = g.dt / 2.0
+        rows[x, : x + 1] = weights @ _nested_rows(ev, g, ints[:1], ints[1:], at, x + 1)
+    return rows
+
+
+def _term_map(
+    k: Kernel, g: Grid, n_diag: int, use_dt: bool = False, label: str = "kernel"
+) -> _TermMap:
+    """Assemble the linear map in ``w`` of one kernel term (see the module
+    docstring for its three shapes)."""
+    T = g.nodes
+    ev = _TermEvaluator(k, use_dt, label)
+    names = [f"t{i}" for i in range(1, k.arity + 1)]
+    pinned, ints = ["t", *names[:n_diag]], names[n_diag:]
+    if not ints:
+        return _TermMap(ev.eval_vector({name: T for name in pinned}), False)
+    if ev.vars_used & set(pinned):
+        return _TermMap(_nested_rows(ev, g, pinned, ints, {}, g.m + 1), False)
+    # The outermost integral then depends on the outer node only through
+    # its upper limit: it is a running sum over ints[0].
+    if len(ints) == 1:
+        return _TermMap(ev.eval_vector({ints[0]: T}), True)
+    return _TermMap(_nested_rows(ev, g, ints[:1], ints[1:], {}, g.m + 1), True)
+
+
+def _sum_term_maps(terms, g: Grid) -> tuple:
+    """Sum the ``n_diag = 0`` maps of ``(kernel, label)`` pairs into ``(A, C)``.
+
+    The sum applied to ``w`` is ``A @ w + cumulative_trapezoid(C . w)``;
+    either part is None when no term has that shape.
+    """
+    parts = {False: None, True: None}
+    for k, label in terms:
+        inner, cumulative = _term_map(k, g, n_diag=0, label=label)
+        total = parts[cumulative]
+        if total is not None and total.ndim != inner.ndim:
+            total, inner = (np.diag(x) if x.ndim == 1 else x for x in (total, inner))
+        parts[cumulative] = inner if total is None else total + inner
+    return parts[False], parts[True]
+
+
 def _simplex_term(
     k: Kernel,
     w: np.ndarray,
@@ -250,94 +335,7 @@ def _simplex_term(
     to the innermost variable.  ``n_diag = arity`` is the pure diagonal
     term ``k(t, t, ..., t) * w(t)``.
     """
-    T = g.nodes
-    W = _weights(g)
-    m = g.m
-    ev = _TermEvaluator(k, use_dt, label)
-    names = [f"t{i}" for i in range(1, k.arity + 1)]
-    diag, ints = names[:n_diag], names[n_diag:]
-    depth = len(ints)
-    j_slots = {"t", *diag}
-    j_dep = bool(ev.vars_used & j_slots)
-
-    if depth == 0:
-        ctx = {"t": T, **{name: T for name in diag}}
-        return ev.eval_vector(ctx) * w
-
-    if depth == 1:
-        col = T[:, None]
-        ctx = {"t": col, **{name: col for name in diag}, ints[0]: T[None, :]}
-        vals = ev.eval_matrix(ctx)
-        return np.einsum("jl,jl,l->j", W, vals, w)
-
-    if depth == 2:
-        if not j_dep:
-            ctx = {ints[0]: T[:, None], ints[1]: T[None, :]}
-            vals = ev.eval_matrix(ctx)
-            inner = np.einsum("ln,ln,n->l", W, vals, w)
-            return W @ inner
-        out = np.empty(m + 1)
-        out[0] = 0.0
-        for j in range(1, m + 1):
-            s = slice(0, j + 1)
-            ctx = {
-                "t": T[j],
-                **{name: T[j] for name in diag},
-                ints[0]: T[s, None],
-                ints[1]: T[None, s],
-            }
-            vals = ev.eval_matrix(ctx)
-            inner = np.einsum("ln,ln,n->l", W[s, s], vals, w[s])
-            out[j] = W[j, s] @ inner
-        return out
-
-    if depth == 3:
-        if not j_dep:
-            level1 = np.empty(m + 1)
-            for l1 in range(m + 1):
-                s = slice(0, l1 + 1)
-                ctx = {ints[0]: T[l1], ints[1]: T[s, None], ints[2]: T[None, s]}
-                vals = ev.eval_matrix(ctx)
-                inner = np.einsum("ln,ln,n->l", W[s, s], vals, w[s])
-                level1[l1] = W[l1, s] @ inner
-            return W @ level1
-        out = np.empty(m + 1)
-        for j in range(m + 1):
-            level1 = np.empty(j + 1)
-            for l1 in range(j + 1):
-                s = slice(0, l1 + 1)
-                ctx = {
-                    "t": T[j],
-                    **{name: T[j] for name in diag},
-                    ints[0]: T[l1],
-                    ints[1]: T[s, None],
-                    ints[2]: T[None, s],
-                }
-                vals = ev.eval_matrix(ctx)
-                inner = np.einsum("ln,ln,n->l", W[s, s], vals, w[s])
-                level1[l1] = W[l1, s] @ inner
-            out[j] = W[j, : j + 1] @ level1
-        return out
-
-    # depth >= 4: plain recursion over the outermost integration variables
-    def nested(fixed: dict, remaining: list, limit: int) -> float:
-        name = remaining[0]
-        if len(remaining) == 2:
-            s = slice(0, limit + 1)
-            ctx = {**fixed, name: T[s, None], remaining[1]: T[None, s]}
-            vals = ev.eval_matrix(ctx)
-            inner = np.einsum("ln,ln,n->l", W[s, s], vals, w[s])
-            return float(W[limit, s] @ inner)
-        acc = np.array(
-            [nested({**fixed, name: T[l]}, remaining[1:], l) for l in range(limit + 1)]
-        )
-        return float(W[limit, : limit + 1] @ acc)
-
-    out = np.empty(m + 1)
-    for j in range(m + 1):
-        fixed = {"t": T[j], **{name: T[j] for name in diag}}
-        out[j] = nested(fixed, ints, j)
-    return out
+    return _term_map(k, g, n_diag, use_dt, label).apply(w, g)
 
 
 def _require_grid(f: GridFunction, g: Grid, name: str) -> None:
@@ -419,16 +417,8 @@ def kernel_dt(k: Kernel, point) -> float:
         raise KernelError(
             f"point must have {k.arity + 1} coordinates, got {len(point)}"
         )
-    ctx = {"t": point[0]}
-    ctx.update({f"t{i}": x for i, x in enumerate(point[1:], start=1)})
-    if k.dt_body is not None:
-        val = expr_mod.evaluate(k.dt_body, ctx)
-    else:
-        t = point[0]
-        step = FD_STEP_SCALE * max(1.0, abs(t))
-        up = expr_mod.evaluate(k.body, {**ctx, "t": t + step})
-        dn = expr_mod.evaluate(k.body, {**ctx, "t": t - step})
-        val = (up - dn) / (2.0 * step)
+    names = ["t", *(f"t{i}" for i in range(1, k.arity + 1))]
+    val = float(_TermEvaluator(k, True, "k").eval_vector(dict(zip(names, point))))
     if not np.isfinite(val):
         raise KernelError(f"kernel derivative non-finite at {point}")
-    return float(val)
+    return val

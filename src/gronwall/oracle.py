@@ -12,9 +12,11 @@ divergent node plus the prefix of nodes whose successive differences had
 already converged (partial certification over that prefix is the point).
 
 All right-hand sides are discretized with the same composite trapezoid
-rule as the bounds.  The inner double/triple integrals are linear in
-w = u^p, so their quadrature weights are assembled once per instance and
-each Picard sweep is a handful of mat-vecs.
+rule as the bounds, through the same kernel-term maps.  The kernel
+integrals are linear in w = u^p, so for every family (the pair forms,
+cor35 and the iterated thm24/thm34 alike) their maps are assembled once
+per instance and summed into at most one matrix and one running-sum
+matrix: each Picard sweep is at most two mat-vecs.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .bounds import BoundResult, HypothesisError, ProblemInstance, compute_bound
 from .grid import Grid, GridFunction, cumulative_trapezoid
-from .kernels import Kernel, KernelSet, _TermEvaluator, _simplex_term, _weights
+from .kernels import Kernel, KernelSet, _sum_term_maps, _TermMap
 
 __all__ = [
     "PicardStatus",
@@ -79,81 +81,47 @@ class PicardOutcome:
     diverged_node: int | None = None
 
 
-def _pair_k_matrix(k: Kernel, g: Grid) -> np.ndarray:
-    """Weights of w -> int_a^{x_i} k(x_i, s) w(s) ds as a lower-tri matrix."""
-    T = g.nodes
-    kv = _TermEvaluator(k, False, "k").eval_matrix(
-        {"t": T[:, None], "t1": T[None, :]}
-    )
-    return _weights(g) * kv
-
-
-def _pair_h_matrix(h: Kernel, g: Grid) -> np.ndarray:
-    """Weights of w -> int_a^{x_i} int_a^s h(x_i, s, r) w(r) dr ds."""
-    T = g.nodes
-    W = _weights(g)
-    ev = _TermEvaluator(h, False, "h")
-    if "t" not in ev.vars_used:
-        hv = ev.eval_matrix({"t1": T[:, None], "t2": T[None, :]})
-        return W @ (W * hv)
-    out = np.zeros((g.m + 1, g.m + 1))
-    for i in range(1, g.m + 1):
-        s = slice(0, i + 1)
-        hv = ev.eval_matrix({"t": T[i], "t1": T[s, None], "t2": T[None, s]})
-        out[i, s] = W[i, s] @ (W[s, s] * hv)
-    return out
-
-
 class DiscreteRhs:
     """The instance's full right-hand side on the grid, precomputed.
 
-    Calling it maps node values ``u`` to ``RHS(u)``; everything linear in
-    w = u^p (the kernel integrals) is stored as weight matrices.
+    Calling it maps node values ``u`` to ``RHS(u)``.  The kernel integrals
+    are linear in w = u^p; their sum is ``A @ w`` plus the running
+    trapezoid sum of ``C . w`` (see ``kernels``), with ``A`` and ``C``
+    assembled here once (either may be None).
     """
 
     def __init__(self, inst: ProblemInstance):
         self.inst = inst
-        g = inst.grid
-        self.g = g
-        self.W = _weights(g)
+        self.g = inst.grid
         ks = inst.kernels
-        t = inst.theorem
-        self.K2 = self.M3 = None
-        if t in ("bykov", "thm22", "thm23", "thm32", "thm33", "cor35"):
-            if ks.k is not None and not ks.k.is_zero:
-                self.K2 = _pair_k_matrix(ks.k, g)
-            if t != "thm23" and ks.h is not None and not ks.h.is_zero:
-                self.M3 = _pair_h_matrix(ks.h, g)
+        if ks.form == "iterated":
+            terms = [(k, f"k{i}") for i, k in enumerate(ks.kernels, start=1)]
+        else:
+            terms = [(ks.k, "k"), (ks.h, "h")]
+        self.A, self.C = _sum_term_maps(
+            [(k, label) for k, label in terms if k is not None and not k.is_zero],
+            self.g,
+        )
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         inst = self.inst
         g = self.g
+        t = inst.theorem
         with np.errstate(all="ignore"):
             w = np.power(u, inst.p)
-        t = inst.theorem
-        if t == "cor35":
             acc = np.zeros(g.m + 1)
-            if self.K2 is not None:
-                acc += self.K2 @ w
-            if self.M3 is not None:
-                acc += self.M3 @ w
-            return inst.a_const + acc
-        if t in ("thm24", "thm34"):
-            acc = np.zeros(g.m + 1)
-            for kern in inst.kernels.kernels:
-                if not kern.is_zero:
-                    acc += _simplex_term(kern, w, g, n_diag=0)
+            if self.A is not None:
+                acc += self.A @ w
+            if self.C is not None:
+                acc += _TermMap(self.C, True).apply(w, g)
+            if t == "cor35":
+                return inst.a_const + acc
             if t == "thm24":
                 return inst.a_values + inst.b.values * acc
-            return inst.b.values * (inst.a_const + acc)
-        # cumulative forms: datum + int_a^t (b w + int k w + int int h w)
-        with np.errstate(all="ignore"):
-            integrand = inst.b.values * w
-            if self.K2 is not None:
-                integrand = integrand + self.K2 @ w
-            if self.M3 is not None:
-                integrand = integrand + self.M3 @ w
-            acc = cumulative_trapezoid(GridFunction(g, integrand)).values
+            if t == "thm34":
+                return inst.b.values * (inst.a_const + acc)
+            # cumulative forms: datum + int_a^t (b w + int k w + int int h w)
+            acc = cumulative_trapezoid(GridFunction(g, inst.b.values * w + acc)).values
         if t == "thm23":
             return inst.sigma.values * (inst.a_const + acc)
         return inst.a_values + acc

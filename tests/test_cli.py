@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -190,6 +193,41 @@ class TestCommands:
         text = "[problem]\ntheorem = thm24\nk1_expr = 1\n"
         cfg = write(tmp_path, "s.cfg", text)
         assert cli.main(["suite", "--config", cfg]) == 2
+
+    def test_suite_honours_seed_zero(self, tmp_path):
+        text = "[problem]\ntheorem = thm33\n[run]\nseed = 0\ncases = 2\n"
+        cfg = write(tmp_path, "s.cfg", text)
+        out = tmp_path / "a.csv"
+        cli.main(["suite", "--config", cfg, "--out", str(out)])
+        _, rows = read_rows(out)
+        assert [r[0] for r in rows] == ["0", "1"]
+
+    @pytest.mark.parametrize("cases_line, flag", [
+        ("cases = 0\n", []),
+        ("cases = -3\n", []),
+        ("", ["--cases", "0"]),
+    ], ids=["config-zero", "config-negative", "flag-zero"])
+    def test_suite_rejects_no_cases(self, tmp_path, capsys, cases_line, flag):
+        text = "[problem]\ntheorem = thm33\n[run]\n" + cases_line
+        cfg = write(tmp_path, "s.cfg", text)
+        out = tmp_path / "a.csv"
+        assert cli.main(["suite", "--config", cfg, "--out", str(out)] + flag) == 2
+        assert "cases must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_module_entry_point(self, tmp_path):
+        cfg = write(tmp_path, "r.cfg", RICCATI_CONFIG.replace("m = 1024", "m = 8"))
+        src_dir = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src_dir, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "gronwall.cli", "bound", "--config", cfg],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "t,bound"
+        assert len(lines) == 10
 
 
 class TestExitCodes:

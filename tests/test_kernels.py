@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from gronwall.expr import parse
+from gronwall.bounds import ProblemInstance
+from gronwall.expr import evaluate, parse
 from gronwall.grid import Grid, GridFunction, constant, sample
 from gronwall.kernels import (
+    FD_STEP_SCALE,
     Kernel,
     KernelError,
     KernelSet,
@@ -16,6 +18,7 @@ from gronwall.kernels import (
     compute_B1,
     kernel_dt,
 )
+from gronwall.oracle import rhs_operator
 
 
 def gf(g, values):
@@ -241,3 +244,108 @@ class TestFunctionalProperties:
         w2 = gf(g, w1.values + rng.uniform(0, 1, g.m + 1))
         assert (apply_R(ks, w1, g).values <= apply_R(ks, w2, g).values).all()
         assert (apply_Q(ks, w1, g).values <= apply_Q(ks, w2, g).values).all()
+
+
+# Bodies per arity: one reading t (with its exact d/dt), one reading t1 but
+# not t, one reading neither.  Together they reach every map shape: the
+# diagonal, the matrix and the running-sum form, at depths 0-4.
+BODIES = {
+    1: {"t": ("1 + t*t1", "t1"), "t1": ("0.5 + t1^2", None), "inner": ("0.75", None)},
+    2: {
+        "t": ("exp(t - t1) + t2", "exp(t - t1)"),
+        "t1": ("1 + t1*t2", None),
+        "inner": ("0.5 + t2^2", None),
+    },
+    3: {"t": ("t*t3 + t1 + 0.25", "t3"), "t1": ("t1 + t2*t3", None), "inner": ("1 + t2*t3", None)},
+    4: {
+        "t": ("t*t1 + t4 + 0.1", "t1"),
+        "t1": ("t1*t2 + t3*t4", None),
+        "inner": ("0.2 + t2 + t3*t4", None),
+    },
+}
+VARIANTS = ("t-exact", "t-fd", "t1", "inner")
+
+
+def variant_kernel(arity, variant):
+    body, dt = BODIES[arity][variant.split("-")[0]]
+    return Kernel(arity, body, dt_body=dt if variant == "t-exact" else None)
+
+
+def brute_term(k, w, g, n_diag, use_dt=False):
+    """The nested trapezoid rule summed directly, one point at a time."""
+    T, dt = [float(x) for x in g.nodes], g.dt
+
+    def weight(upper, l):
+        if upper == 0:
+            return 0.0
+        return dt / 2.0 if l in (0, upper) else dt
+
+    def value(point):
+        ctx = dict(zip(["t"] + [f"t{i}" for i in range(1, k.arity + 1)], point))
+        if not use_dt:
+            return float(evaluate(k.body, ctx))
+        if k.dt_body is not None:
+            return float(evaluate(k.dt_body, ctx))
+        step = FD_STEP_SCALE * max(1.0, abs(point[0]))
+        up = float(evaluate(k.body, {**ctx, "t": point[0] + step}))
+        dn = float(evaluate(k.body, {**ctx, "t": point[0] - step}))
+        return (up - dn) / (2.0 * step)
+
+    def nested(point, upper):
+        if len(point) == k.arity + 1:
+            return value(point) * w[upper]
+        return sum(weight(upper, l) * nested(point + (T[l],), l) for l in range(upper + 1))
+
+    return np.array([nested((T[j],) * (1 + n_diag), j) for j in range(g.m + 1)])
+
+
+class TestBruteForceReference:
+    """Every kernel-term path against the nested trapezoid summed in loops."""
+
+    def grid_and_weight(self, n):
+        g = Grid(0.3, 1.1, 5 if n < 4 else 4)
+        w = np.random.default_rng(7 + n).uniform(0.2, 2.0, g.m + 1)
+        return g, w
+
+    def assert_close(self, got, ref, variant):
+        # a central difference divides the round-off of its samples by 2e-5
+        rtol = 1e-9 if variant == "t-fd" else 1e-13
+        assert np.abs(got - ref).max() <= rtol * max(1.0, np.abs(ref).max())
+
+    @pytest.mark.parametrize("h_variant", VARIANTS)
+    @pytest.mark.parametrize("k_variant", VARIANTS)
+    def test_compute_B(self, k_variant, h_variant):
+        g, _ = self.grid_and_weight(2)
+        k, h = variant_kernel(1, k_variant), variant_kernel(2, h_variant)
+        b = gf(g, 1.0 + g.nodes)
+        ones = np.ones(g.m + 1)
+        ref = b.values + brute_term(k, ones, g, 0) + brute_term(h, ones, g, 0)
+        self.assert_close(compute_B(b, k, h, g).values, ref, "exact")
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_apply_R_and_Q(self, n, variant):
+        g, w = self.grid_and_weight(n)
+        kernels = [variant_kernel(i, variant) for i in range(1, n + 1)]
+        ks = KernelSet.iterated(kernels)
+        ref_R = sum(brute_term(k, w, g, 1) for k in kernels)
+        ref_Q = sum(brute_term(k, w, g, 0, use_dt=True) for k in kernels)
+        self.assert_close(apply_R(ks, gf(g, w), g).values, ref_R, "exact")
+        self.assert_close(apply_Q(ks, gf(g, w), g).values, ref_Q, variant)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_iterated_rhs_operator(self, n, variant):
+        g, u = self.grid_and_weight(n)
+        kernels = [variant_kernel(i, variant) for i in range(1, n + 1)]
+        ks = KernelSet.iterated(kernels)
+        b = gf(g, 2.0 - 0.5 * g.nodes)
+        for theorem, p in (("thm24", 2.0), ("thm34", 0.5)):
+            inst = ProblemInstance(theorem, p, g, a_const=0.7, b=b, kernels=ks)
+            acc = sum(brute_term(k, u**p, g, 0) for k in kernels)
+            if theorem == "thm24":
+                ref = 0.7 + b.values * acc
+            else:
+                ref = b.values * (0.7 + acc)
+            got = rhs_operator(inst, gf(g, u)).values
+            self.assert_close(got, ref, "exact")
