@@ -33,9 +33,6 @@ from .grid import (
     GridFunction,
     constant,
     cumulative_trapezoid,
-    pointwise,
-    refine,
-    restrict,
     running_sup,
     sample,
 )
@@ -47,7 +44,6 @@ from .kernels import (
     apply_Q,
     apply_R,
     compute_B,
-    compute_B1,
     kernel_dt,
 )
 from .oracle import (
@@ -73,9 +69,9 @@ __all__ = [
     "thm34_bound",
     "Expr", "ExprError", "evaluate", "free_variables", "parse", "to_source",
     "Grid", "GridError", "GridFunction", "constant", "cumulative_trapezoid",
-    "pointwise", "refine", "restrict", "running_sup", "sample",
+    "running_sup", "sample",
     "Kernel", "KernelError", "KernelSet", "NegativeKernelError",
-    "apply_Q", "apply_R", "compute_B", "compute_B1", "kernel_dt",
+    "apply_Q", "apply_R", "compute_B", "kernel_dt",
     "DominanceReport", "PicardOutcome", "PicardStatus", "check_admissible",
     "closed_form", "dominance_case", "picard_extremal", "random_instance",
     "rhs_operator", "verify_dominance",

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import expr as expr_mod
 from .grid import Grid, GridFunction, constant, cumulative_trapezoid, running_sup
-from .kernels import Kernel, KernelSet, apply_Q, apply_R, compute_B, compute_B1
+from .kernels import Kernel, KernelSet, apply_Q, apply_R, compute_B
 
 __all__ = [
     "HorizonKind",
@@ -363,7 +363,7 @@ def thm23_bound(inst: ProblemInstance) -> BoundResult:
     _require_theorem(inst, "thm23")
     g, p, a1 = inst.grid, inst.p, inst.a_const
     sig = inst.sigma.values
-    B1 = compute_B1(inst.b, inst.kernels.k, g)
+    B1 = compute_B(inst.b, inst.kernels.k, None, g)
     with np.errstate(all="ignore"):
         integrand = GridFunction(
             g, B1.values * np.power(sig, p - 1.0) * np.exp(sig)
@@ -450,7 +450,7 @@ def cor35_bound(inst: ProblemInstance) -> BoundResult:
 
     R + Q is ``apply_R + apply_Q`` on the iterated set (k, h) with w = 1:
     R(t) = k(t,t) + int_a^t h(t,t,r) dr and Q integrates the kernel
-    t-derivatives (explicit expressions or central differences).
+    t-derivatives (each kernel's ``dt_body``).
     """
     _require_theorem(inst, "cor35")
     g, q = inst.grid, inst.q

@@ -15,7 +15,8 @@ implicit multiplication (``2t`` is a syntax error).
 
 Evaluation follows IEEE double semantics: division by zero, ``log`` of a
 nonpositive value, and overflow produce infinities or NaNs that are
-returned as-is for the caller to flag.
+returned as-is for the caller to flag.  ``sign`` is -1, 0 or 1, so that
+:func:`derivative`, the exact differentiator, stays in the language.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ FUNCTIONS = {
     "cos": np.cos,
     "sqrt": np.sqrt,
     "abs": np.abs,
+    "sign": np.sign,
 }
 
 
@@ -290,6 +292,81 @@ def rename_variables(e: Expr, mapping: Mapping[str, str]) -> Expr:
             rename_variables(e.right, mapping),
         )
     raise TypeError(f"not an expression node: {e!r}")
+
+
+_ZERO, _ONE = Num(0.0), Num(1.0)
+
+
+def _neg(a: Expr) -> Expr:
+    if a == _ZERO:
+        return a
+    return a.operand if isinstance(a, Neg) else Neg(a)
+
+
+def _add(a: Expr, b: Expr) -> Expr:
+    if _ZERO in (a, b):
+        return b if a == _ZERO else a
+    return BinOp("-", a, b.operand) if isinstance(b, Neg) else BinOp("+", a, b)
+
+
+def _mul(a: Expr, b: Expr) -> Expr:
+    # Exact rewrites only (a unit factor dropped, a sign moved out).
+    if _ZERO in (a, b):
+        return _ZERO
+    if _ONE in (a, b):
+        return b if a == _ONE else a
+    if isinstance(a, Neg):
+        return _neg(_mul(a.operand, b))
+    return _neg(_mul(a, b.operand)) if isinstance(b, Neg) else BinOp("*", a, b)
+
+
+# d f(u) = _CHAIN[f](f(u), du)
+_CHAIN = {
+    "exp": lambda e, du: _mul(e, du),
+    "log": lambda e, du: BinOp("/", du, e.arg),
+    "sin": lambda e, du: _mul(Call("cos", e.arg), du),
+    "cos": lambda e, du: _neg(_mul(Call("sin", e.arg), du)),
+    "sqrt": lambda e, du: BinOp("/", du, BinOp("*", Num(2.0), e)),
+    "abs": lambda e, du: _mul(Call("sign", e.arg), du),
+    "sign": lambda e, du: _ZERO,
+}
+
+
+def derivative(e: Expr, var: str) -> Expr:
+    """Exact partial derivative of ``e`` in ``var``.
+
+    A subtree that does not read ``var`` gives ``Num(0.0)``; zero terms and
+    unit factors are left out.  ``abs`` and ``sign`` differentiate as away
+    from 0.  The result holds no negative literal, so it round-trips
+    through :func:`to_source`.
+    """
+    if var not in free_variables(e):
+        return _ZERO
+    if isinstance(e, Var):
+        return _ONE
+    if isinstance(e, Neg):
+        return _neg(derivative(e.operand, var))
+    if isinstance(e, Call):
+        return _CHAIN[e.func](e, derivative(e.arg, var))
+    u, v = e.left, e.right
+    du, dv = derivative(u, var), derivative(v, var)
+    if e.op in "+-":
+        return _add(du, dv if e.op == "+" else _neg(dv))
+    if e.op == "*":
+        return _add(_mul(du, v), _mul(u, dv))
+    if e.op == "/":
+        if dv == _ZERO:
+            return BinOp("/", du, v)
+        top = _add(_mul(du, v), _neg(_mul(u, dv)))
+        return BinOp("/", top, BinOp("^", v, Num(2.0)))
+    if dv == _ZERO:  # v u^(v-1) u'
+        fold = isinstance(v, Num) and v.value >= 1.0
+        lower = Num(v.value - 1.0) if fold else BinOp("-", v, _ONE)
+        return _mul(_mul(v, u if lower == _ONE else BinOp("^", u, lower)), du)
+    log_term = _mul(dv, Call("log", u))  # u^v (v' log(u) + v u'/u)
+    if du == _ZERO:
+        return _mul(e, log_term)
+    return _mul(e, _add(log_term, BinOp("/", _mul(v, du), u)))
 
 
 # Printing precedence levels; a child is parenthesized when its level is

@@ -25,9 +25,6 @@ __all__ = [
     "sample",
     "cumulative_trapezoid",
     "running_sup",
-    "pointwise",
-    "refine",
-    "restrict",
 ]
 
 
@@ -68,9 +65,6 @@ class Grid:
             raise GridError("grid nodes are not strictly increasing (m too large?)")
         t.flags.writeable = False
         return t
-
-    def refined(self) -> "Grid":
-        return Grid(self.alpha, self.beta, 2 * self.m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,59 +176,3 @@ def running_sup(f: GridFunction) -> GridFunction:
     """Nodewise running maximum: out[j] = max(f[0..j])."""
     return GridFunction(f.grid, np.maximum.accumulate(f.values))
 
-
-_BINARY_OPS = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "div": np.divide,
-}
-
-
-def pointwise(op: str, f: GridFunction, other=None) -> GridFunction:
-    """Nodewise algebra on grid functions.
-
-    ``op`` is one of ``add``, ``sub``, ``mul``, ``div`` (second operand a
-    GridFunction on the same grid), ``pow_scalar`` / ``scale`` (second
-    operand a scalar) or ``exp`` (no second operand).  Non-finite results
-    are carried in the output and flagged via ``first_nonfinite_node``.
-    """
-    if op in _BINARY_OPS:
-        if not isinstance(other, GridFunction):
-            raise GridError(f"op {op!r} needs a GridFunction operand")
-        _require_same_grid(f, other)
-        with np.errstate(all="ignore"):
-            return GridFunction(f.grid, _BINARY_OPS[op](f.values, other.values))
-    if op == "pow_scalar":
-        with np.errstate(all="ignore"):
-            return GridFunction(f.grid, np.power(f.values, float(other)))
-    if op == "scale":
-        with np.errstate(all="ignore"):
-            return GridFunction(f.grid, f.values * float(other))
-    if op == "exp":
-        if other is not None:
-            raise GridError("op 'exp' takes no second operand")
-        with np.errstate(all="ignore"):
-            return GridFunction(f.grid, np.exp(f.values))
-    raise GridError(f"unknown pointwise op {op!r}")
-
-
-def refine(f: GridFunction) -> GridFunction:
-    """Linear interpolation onto the grid with doubled m.
-
-    Even nodes copy the original values bitwise, so ``restrict(refine(f))``
-    returns ``f`` exactly.
-    """
-    fine = f.grid.refined()
-    out = np.empty(fine.m + 1)
-    out[0::2] = f.values
-    out[1::2] = (f.values[:-1] + f.values[1:]) / 2.0
-    return GridFunction(fine, out)
-
-
-def restrict(f: GridFunction) -> GridFunction:
-    """Subsample every other node onto the grid with halved m (m must be even)."""
-    if f.grid.m % 2 != 0:
-        raise GridError(f"restrict needs even m, got {f.grid.m}")
-    coarse = Grid(f.grid.alpha, f.grid.beta, f.grid.m // 2)
-    return GridFunction(coarse, f.values[0::2])

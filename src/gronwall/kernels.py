@@ -4,7 +4,8 @@ A kernel of arity ``i`` is an expression ``k(t, t1, ..., ti)`` over the
 outer time ``t`` and ``i`` inner variables; integrals run over the ordered
 simplex ``alpha <= ti <= ... <= t1 <= t``.  The two-variable kernel
 ``k(t, s)`` has arity 1 (``s`` aliases ``t1``) and the three-variable
-kernel ``h(t, s, r)`` has arity 2.
+kernel ``h(t, s, r)`` has arity 2.  Every kernel carries its exact
+t-derivative as a second expression, integrated like the body.
 
 All quadrature is nested composite trapezoid on the shared grid, with
 inner integrals over fewer than two nodes evaluating to zero.  A kernel
@@ -34,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expr as expr_mod
-from .expr import Expr, Num, free_variables, parse, rename_variables
+from .expr import Expr, Num, derivative, free_variables, parse, rename_variables
 from .grid import Grid, GridFunction, cumulative_trapezoid
 
 __all__ = [
@@ -43,7 +44,6 @@ __all__ = [
     "KernelError",
     "NegativeKernelError",
     "compute_B",
-    "compute_B1",
     "apply_R",
     "apply_Q",
     "kernel_dt",
@@ -52,7 +52,6 @@ __all__ = [
 
 NONNEG_TOL = -1e-12
 MAX_ITERATED_KERNELS = 4
-FD_STEP_SCALE = 1e-5
 
 _ALIASES = {"s": "t1", "r": "t2"}
 
@@ -82,10 +81,12 @@ def _canonical(e: Expr | str, arity: int, what: str) -> Expr:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Arity-tagged kernel expression with an optional d/dt expression.
+    """Arity-tagged kernel expression and its t-derivative.
 
     ``body`` and ``dt_body`` may be given as source strings; the aliases
-    ``s`` (for ``t1``) and ``r`` (for ``t2``) are normalized away.
+    ``s`` (for ``t1``) and ``r`` (for ``t2``) are normalized away.  An
+    absent ``dt_body`` is the exact derivative of ``body`` in ``t``; a
+    given one overrides it.
     """
 
     arity: int
@@ -95,15 +96,13 @@ class Kernel:
     def __post_init__(self):
         if self.arity < 1:
             raise KernelError(f"kernel arity must be >= 1, got {self.arity}")
-        object.__setattr__(self, "body", _canonical(self.body, self.arity, "body"))
-        if self.dt_body is not None:
-            object.__setattr__(
-                self, "dt_body", _canonical(self.dt_body, self.arity, "dt expression")
-            )
-
-    @property
-    def depends_on_t(self) -> bool:
-        return "t" in free_variables(self.body)
+        body = _canonical(self.body, self.arity, "body")
+        if self.dt_body is None:
+            dt_body = derivative(body, "t")
+        else:
+            dt_body = _canonical(self.dt_body, self.arity, "dt expression")
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "dt_body", dt_body)
 
     @property
     def is_zero(self) -> bool:
@@ -112,9 +111,7 @@ class Kernel:
     @property
     def dt_is_zero(self) -> bool:
         """True when d/dt is structurally zero (given as 0, or t never occurs)."""
-        if self.dt_body is not None:
-            return self.dt_body == Num(0.0)
-        return not self.depends_on_t
+        return self.dt_body == Num(0.0)
 
 
 @dataclass(frozen=True)
@@ -187,31 +184,13 @@ class _TermEvaluator:
     """Evaluates a kernel body (or its t-derivative) on broadcast node arrays."""
 
     def __init__(self, k: Kernel, use_dt: bool, label: str):
-        self.kernel = k
+        self.expr = k.dt_body if use_dt else k.body
         self.use_dt = use_dt
         self.label = label
-        if use_dt:
-            active = k.dt_body if k.dt_body is not None else k.body
-            self.vars_used = free_variables(active)
-            if k.dt_body is None:
-                self.vars_used = self.vars_used | {"t"}  # FD step depends on t
-        else:
-            self.vars_used = free_variables(k.body)
-
-    def _raw(self, ctx: dict) -> np.ndarray:
-        if not self.use_dt:
-            return _eval_on(self.kernel.body, ctx)
-        if self.kernel.dt_body is not None:
-            return _eval_on(self.kernel.dt_body, ctx)
-        t = np.asarray(ctx["t"], dtype=np.float64)
-        step = FD_STEP_SCALE * np.maximum(1.0, np.abs(t))
-        up = _eval_on(self.kernel.body, {**ctx, "t": t + step})
-        dn = _eval_on(self.kernel.body, {**ctx, "t": t - step})
-        with np.errstate(all="ignore"):
-            return (up - dn) / (2.0 * step)
+        self.vars_used = free_variables(self.expr)
 
     def eval_vector(self, ctx: dict) -> np.ndarray:
-        vals = self._raw(ctx)
+        vals = _eval_on(self.expr, ctx)
         if not self.use_dt:
             _check_body_values(vals, self.label)
         return vals
@@ -220,7 +199,7 @@ class _TermEvaluator:
         # The quadrature only touches the simplex part (inner <= outer);
         # zero the strict upper triangle so unused entries (possibly NaN
         # for kernels like sqrt(t-s)) cannot leak into the sums.
-        vals = np.tril(self._raw(ctx))
+        vals = np.tril(_eval_on(self.expr, ctx))
         if not self.use_dt:
             _check_body_values(vals, self.label)
         return vals
@@ -248,13 +227,14 @@ def _trapezoid_rows(vals: np.ndarray, dt: float) -> np.ndarray:
     of an integral up to node ``x``, in place.
 
     Row 0 is multiplied by zero (an integral over a single node vanishes),
-    so a non-finite sample there still shows in the result.
+    so a non-finite sample there still shows in the result, as NaN.
     """
-    vals *= dt
-    vals[:, 0] *= 0.5
-    idx = np.arange(len(vals))
-    vals[idx, idx] *= 0.5
-    vals[0, 0] *= 0.0
+    with np.errstate(invalid="ignore"):
+        vals *= dt
+        vals[:, 0] *= 0.5
+        idx = np.arange(len(vals))
+        vals[idx, idx] *= 0.5
+        vals[0, 0] *= 0.0
     return vals
 
 
@@ -365,11 +345,6 @@ def compute_B(
     return GridFunction(g, out)
 
 
-def compute_B1(b: GridFunction, k: Kernel | None, g: Grid) -> GridFunction:
-    """B1(t) = b(t) + int_a^t k(t,s) ds."""
-    return compute_B(b, k, None, g)
-
-
 def apply_R(ks: KernelSet, w: GridFunction, g: Grid) -> GridFunction:
     """The functional R[w](t) of an iterated kernel set.
 
@@ -389,8 +364,8 @@ def apply_R(ks: KernelSet, w: GridFunction, g: Grid) -> GridFunction:
 def apply_Q(ks: KernelSet, w: GridFunction, g: Grid) -> GridFunction:
     """The functional Q[w](t): as R but with dk_i/dt and integrals from t1.
 
-    Each kernel needs its t-derivative: an explicit ``dt_body`` wins,
-    otherwise a central finite difference in t is used.
+    Each term integrates the kernel's ``dt_body`` (its exact t-derivative
+    unless one was given); a non-finite term names the kernel and node.
     """
     ks._require("iterated")
     _require_grid(w, g, "w")
@@ -407,18 +382,15 @@ def apply_Q(ks: KernelSet, w: GridFunction, g: Grid) -> GridFunction:
 
 
 def kernel_dt(k: Kernel, point) -> float:
-    """d/dt of the kernel at ``point = (t, x1, ..., x_arity)``.
-
-    Uses ``dt_body`` when present, else a central difference with step
-    1e-5 * max(1, |t|).
-    """
+    """d/dt of the kernel at ``point = (t, x1, ..., x_arity)``: its
+    ``dt_body`` evaluated there."""
     point = tuple(float(x) for x in point)
     if len(point) != k.arity + 1:
         raise KernelError(
             f"point must have {k.arity + 1} coordinates, got {len(point)}"
         )
     names = ["t", *(f"t{i}" for i in range(1, k.arity + 1))]
-    val = float(_TermEvaluator(k, True, "k").eval_vector(dict(zip(names, point))))
+    val = expr_mod.evaluate(k.dt_body, dict(zip(names, point)))
     if not np.isfinite(val):
         raise KernelError(f"kernel derivative non-finite at {point}")
     return val

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -228,6 +229,50 @@ class TestCommands:
         lines = proc.stdout.splitlines()
         assert lines[0] == "t,bound"
         assert len(lines) == 10
+
+
+COR35_CONFIG = """\
+[problem]
+theorem = cor35
+p = 2
+alpha = 0
+beta = 1
+a = 0.5
+k_expr = (t-s)^1.5
+
+[grid]
+m = 64
+"""
+
+
+class TestKernelDerivative:
+    def test_cor35_power_kernel_matches_closed_form(self, tmp_path):
+        # dk/dt = 1.5 (t-s)^0.5 is 0 on the diagonal, so the bound is
+        # [a^q + q t^2.5/2.5]^(1/q) with q = 1 - p = -1: 0.625 at t = 1.  The
+        # square-root kink of dk/dt on the diagonal makes the trapezoid
+        # error O(dt^1.5).
+        errors = []
+        for m in (64, 128):
+            cfg = write(tmp_path, f"c{m}.cfg", COR35_CONFIG.replace("m = 64", f"m = {m}"))
+            out = tmp_path / f"bound{m}.csv"
+            assert cli.main(["bound", "--config", cfg, "--out", str(out)]) == 0
+            _, rows = read_rows(out)
+            assert len(rows) == m + 1 and float(rows[-1][0]) == 1.0
+            errors.append(abs(float(rows[-1][1]) - 0.625))
+            assert errors[-1] <= 0.25 * (1.0 / m) ** 1.5
+        assert 2.4 <= errors[0] / errors[1] <= 3.2
+
+    @pytest.mark.parametrize("dt_line", ["", "k_dt_expr = 0.5/sqrt(t-s)\n"],
+                             ids=["derived", "given"])
+    def test_infinite_derivative_named_without_warnings(self, tmp_path, capsys, dt_line):
+        # d/dt sqrt(t-s) is infinite on the diagonal: a named error, exit 2,
+        # and no RuntimeWarning on the way
+        text = COR35_CONFIG.replace("k_expr = (t-s)^1.5", "k_expr = sqrt(t-s)\n" + dt_line)
+        cfg = write(tmp_path, "sqrt.cfg", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["bound", "--config", cfg]) == 2
+        assert "d/dt of kernel k1 is non-finite at node 0" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -14,6 +14,7 @@ from gronwall.expr import (
     UnknownFunctionError,
     UnknownVariableError,
     Var,
+    derivative,
     evaluate,
     free_variables,
     parse,
@@ -175,3 +176,51 @@ def test_eval_is_pure():
     ctx = {"t": 0.3, "s": 1.7, "r": 0.9}
     first = evaluate(node, ctx)
     assert all(evaluate(node, ctx) == first for _ in range(5))
+
+
+def test_derivative_leaves_out_zero_terms():
+    vars_ = {"t", "s"}
+    assert derivative(parse("exp(s) * s + 3", vars_), "t") == Num(0.0)
+    assert derivative(parse("t * s", vars_), "t") == Var("s")
+    assert derivative(parse("sign(t - s)", vars_), "t") == Num(0.0)
+    assert derivative(parse("exp(-(t - s))", vars_), "t") == parse("-exp(-(t - s))", vars_)
+    assert derivative(parse("(t - s)^1.5", vars_), "t") == parse("1.5*(t - s)^0.5", vars_)
+    assert derivative(parse("abs(t)", vars_), "t") == parse("sign(t)", vars_)
+
+
+def _to_sympy(e, sp, syms):
+    if isinstance(e, Num):
+        return sp.Float(e.value)
+    if isinstance(e, Var):
+        return syms[e.name]
+    if isinstance(e, Neg):
+        return -_to_sympy(e.operand, sp, syms)
+    if isinstance(e, Call):
+        funcs = {"exp": sp.exp, "log": sp.log, "sin": sp.sin, "cos": sp.cos,
+                 "sqrt": sp.sqrt, "abs": sp.Abs, "sign": sp.sign}
+        return funcs[e.func](_to_sympy(e.arg, sp, syms))
+    left, right = _to_sympy(e.left, sp, syms), _to_sympy(e.right, sp, syms)
+    return {"+": left + right, "-": left - right, "*": left * right,
+            "/": left / right, "^": left**right}[e.op]
+
+
+def test_derivative_matches_sympy_on_1000_random_asts():
+    sp = pytest.importorskip("sympy")
+    syms = {name: sp.Symbol(name, real=True) for name in ("t", "s", "r")}
+    rng = random.Random(20240811)
+    compared = 0
+    for _ in range(1000):
+        node = _random_ast(rng, depth=4)
+        ours = derivative(node, "t")
+        assert parse(to_source(ours), {"t", "s", "r"}) == ours
+        ref = sp.diff(_to_sympy(node, sp, syms), syms["t"])
+        for _ in range(3):
+            point = {name: rng.uniform(-2.0, 3.0) for name in syms}
+            got = evaluate(ours, point)
+            want = ref.evalf(30, subs={syms[n]: v for n, v in point.items()})
+            if not (want.is_real and want.is_finite and math.isfinite(got)):
+                continue
+            compared += 1
+            assert got == pytest.approx(float(want), rel=1e-9, abs=1e-12), (
+                to_source(node), point)
+    assert compared > 2500

@@ -13,9 +13,6 @@ from gronwall.grid import (
     NonFiniteSampleError,
     constant,
     cumulative_trapezoid,
-    pointwise,
-    refine,
-    restrict,
     running_sup,
     sample,
 )
@@ -148,51 +145,21 @@ class TestRunningSup:
 
 
 class TestPointwise:
+    """Nodewise algebra through the GridFunction operators."""
+
     def test_add(self):
         g = Grid(0, 1, 1)
-        out = pointwise("add", gf(g, [1, 2]), gf(g, [3, 4]))
+        out = gf(g, [1, 2]) + gf(g, [3, 4])
         assert out.values.tolist() == [4.0, 6.0]
-
-    def test_pow_scalar(self):
-        out = pointwise("pow_scalar", gf(Grid(0, 1, 1), [4, 9]), 0.5)
-        assert out.values.tolist() == [2.0, 3.0]
 
     def test_div_by_zero_flagged(self):
         g = Grid(0, 1, 2)
-        out = pointwise("div", constant(1.0, g), gf(g, [1.0, 0.0, 2.0]))
+        out = constant(1.0, g) / gf(g, [1.0, 0.0, 2.0])
         assert out.first_nonfinite_node == 1
-
-    def test_exp_and_scale(self):
-        g = Grid(0, 1, 1)
-        assert pointwise("exp", gf(g, [0.0, 1.0])).values.tolist() == [1.0, math.e]
-        assert pointwise("scale", gf(g, [1.0, 2.0]), -2.0).values.tolist() == [-2.0, -4.0]
 
     def test_grid_mismatch(self):
         with pytest.raises(GridError):
-            pointwise("add", constant(1.0, Grid(0, 1, 2)), constant(1.0, Grid(0, 1, 3)))
-
-
-class TestRefineRestrict:
-    def test_round_trip_bitwise(self):
-        g = Grid(0, 1, 8)
-        rng = np.random.default_rng(9)
-        f = gf(g, rng.uniform(-5, 5, g.m + 1))
-        back = restrict(refine(f))
-        assert back.grid == f.grid
-        assert (back.values == f.values).all()
-
-    def test_refine_constant(self):
-        out = refine(constant(3.0, Grid(0, 1, 4)))
-        assert out.grid.m == 8
-        assert (out.values == 3.0).all()
-
-    def test_refine_interpolates(self):
-        out = refine(gf(Grid(0, 1, 1), [0.0, 1.0]))
-        assert out.values.tolist() == [0.0, 0.5, 1.0]
-
-    def test_restrict_needs_even_m(self):
-        with pytest.raises(GridError):
-            restrict(constant(1.0, Grid(0, 1, 5)))
+            constant(1.0, Grid(0, 1, 2)) + constant(1.0, Grid(0, 1, 3))
 
 
 def test_at_interpolates_linearly():

@@ -7,7 +7,6 @@ from gronwall.bounds import ProblemInstance
 from gronwall.expr import evaluate, parse
 from gronwall.grid import Grid, GridFunction, constant, sample
 from gronwall.kernels import (
-    FD_STEP_SCALE,
     Kernel,
     KernelError,
     KernelSet,
@@ -15,7 +14,6 @@ from gronwall.kernels import (
     apply_Q,
     apply_R,
     compute_B,
-    compute_B1,
     kernel_dt,
 )
 from gronwall.oracle import rhs_operator
@@ -49,6 +47,11 @@ class TestKernelType:
         assert Kernel(1, "t1").dt_is_zero          # no t anywhere
         assert Kernel(1, "t*t1", dt_body="0").dt_is_zero
         assert not Kernel(1, "t*t1").dt_is_zero
+
+    def test_dt_body_derived_unless_given(self):
+        assert Kernel(1, "t*s").dt_body == parse("t1", {"t1"})
+        assert Kernel(2, "exp(t - r)").dt_body == parse("exp(t - t2)", {"t", "t2"})
+        assert Kernel(1, "t*s", dt_body="2*s").dt_body == parse("2*t1", {"t1"})
 
     def test_set_pair_arities(self):
         KernelSet.pair(Kernel(1, "1"), Kernel(2, "1"))
@@ -124,17 +127,19 @@ class TestComputeB:
 
 
 class TestComputeB1:
+    """thm23's B1 = b + int k: compute_B without h."""
+
     def test_all_zero(self):
         g = Grid(0, 1, 8)
-        assert (compute_B1(constant(0.0, g), None, g).values == 0.0).all()
+        assert (compute_B(constant(0.0, g), None, None, g).values == 0.0).all()
 
     def test_constant_b(self):
         g = Grid(0, 1, 8)
-        assert (compute_B1(constant(2.0, g), None, g).values == 2.0).all()
+        assert (compute_B(constant(2.0, g), None, None, g).values == 2.0).all()
 
     def test_exponential_kernel(self):
         g = Grid(0, 1, 1024)
-        out = compute_B1(constant(0.0, g), Kernel(1, "exp(-(t-s))"), g)
+        out = compute_B(constant(0.0, g), Kernel(1, "exp(-(t-s))"), None, g)
         assert out.values[-1] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-6)
 
 
@@ -271,8 +276,12 @@ def variant_kernel(arity, variant):
     return Kernel(arity, body, dt_body=dt if variant == "t-exact" else None)
 
 
-def brute_term(k, w, g, n_diag, use_dt=False):
-    """The nested trapezoid rule summed directly, one point at a time."""
+def brute_term(k, w, g, n_diag, use_dt=False, fd=False):
+    """The nested trapezoid rule summed directly, one point at a time.
+
+    With ``fd`` the t-derivative is a central difference of the body, so
+    the reference does not read the kernel's derived ``dt_body``.
+    """
     T, dt = [float(x) for x in g.nodes], g.dt
 
     def weight(upper, l):
@@ -284,9 +293,9 @@ def brute_term(k, w, g, n_diag, use_dt=False):
         ctx = dict(zip(["t"] + [f"t{i}" for i in range(1, k.arity + 1)], point))
         if not use_dt:
             return float(evaluate(k.body, ctx))
-        if k.dt_body is not None:
+        if not fd:
             return float(evaluate(k.dt_body, ctx))
-        step = FD_STEP_SCALE * max(1.0, abs(point[0]))
+        step = 1e-5 * max(1.0, abs(point[0]))
         up = float(evaluate(k.body, {**ctx, "t": point[0] + step}))
         dn = float(evaluate(k.body, {**ctx, "t": point[0] - step}))
         return (up - dn) / (2.0 * step)
@@ -329,7 +338,8 @@ class TestBruteForceReference:
         kernels = [variant_kernel(i, variant) for i in range(1, n + 1)]
         ks = KernelSet.iterated(kernels)
         ref_R = sum(brute_term(k, w, g, 1) for k in kernels)
-        ref_Q = sum(brute_term(k, w, g, 0, use_dt=True) for k in kernels)
+        fd = variant != "t-exact"
+        ref_Q = sum(brute_term(k, w, g, 0, use_dt=True, fd=fd) for k in kernels)
         self.assert_close(apply_R(ks, gf(g, w), g).values, ref_R, "exact")
         self.assert_close(apply_Q(ks, gf(g, w), g).values, ref_Q, variant)
 
