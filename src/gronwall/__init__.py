@@ -48,6 +48,7 @@ from .kernels import (
 )
 from .oracle import (
     DominanceReport,
+    OracleError,
     PicardOutcome,
     PicardStatus,
     check_admissible,
@@ -72,7 +73,7 @@ __all__ = [
     "running_sup", "sample",
     "Kernel", "KernelError", "KernelSet", "NegativeKernelError",
     "apply_Q", "apply_R", "compute_B", "kernel_dt",
-    "DominanceReport", "PicardOutcome", "PicardStatus", "check_admissible",
-    "closed_form", "dominance_case", "picard_extremal", "random_instance",
-    "rhs_operator", "verify_dominance",
+    "DominanceReport", "OracleError", "PicardOutcome", "PicardStatus",
+    "check_admissible", "closed_form", "dominance_case", "picard_extremal",
+    "random_instance", "rhs_operator", "verify_dominance",
 ]

@@ -1,10 +1,25 @@
 """Explicit a priori bounds for Volterra inequalities with a u^p nonlinearity.
 
-Each ``*_bound`` function evaluates one closed-form bound family on the
-instance grid and reports the validity horizon: the largest time up to
-which the bracketed expression in the bound stays on its valid side
-(strictly below 1 for the blow-up form, strictly positive for the
-q-positivity form).  Past the horizon the bound values are NaN.
+Every nonlinear bound is Lemma 3.1's Bernoulli bracket, with q = 1 - p:
+
+    bound(t) = F(t) [D(t)^q + q int_alpha^t I]^(1/q)
+
+It holds up to the horizon, the last node before the bracket stops being
+positive (or finite); past it the bound values are NaN.  Section 2 writes
+its bounds as F (1 - (p-1) int I)^(1/(1-p)), which is the case D = 1.
+
+    theorem   F(t)        D(t)      I(t)                     horizon kind
+    thm22     a(t)        1         B a^(p-1)                p_blow_up
+    thm23     a s e^s     1         a^(p-1) B1 s^(p-1) e^s   p_blow_up
+    thm24     a(t)        1         (a/b)^(p-1) (R+Q)[b^p]   p_blow_up
+    thm32/33  1           sup a     B                        q_positivity
+    thm34     b(t)        a         (R+Q)[b^p]               q_positivity
+    cor35     1           a         (R+Q)[1] on (k, h)       q_positivity
+    lemma31   exp(int b)  v(alpha)  k exp(-q int b)          q_positivity
+
+Here B = b + int k + int int h (``compute_B``; B1 omits h) and s = sigma(t).
+thm32 is thm33 with a constant datum and cor35 is thm34 with b = 1, so
+each pair runs one body.  The linear bykov bound (p = 1) is a exp(int B).
 
 Instance hypotheses (nonnegativity, monotonicity, sign of p) are checked
 eagerly when a :class:`ProblemInstance` is built, with tolerance -1e-12
@@ -19,8 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import expr as expr_mod
-from .grid import Grid, GridFunction, constant, cumulative_trapezoid, running_sup
+from .grid import Grid, GridFunction, cumulative_trapezoid, running_sup
 from .kernels import Kernel, KernelSet, apply_Q, apply_R, compute_B
 
 __all__ = [
@@ -116,11 +130,6 @@ def detect_horizon(bracket: GridFunction, kind: str):
     else:
         time = T[j]
     return jstar, float(time), result_kind
-
-
-def _masked_past(g: Grid, vals: np.ndarray, horizon_node: int) -> GridFunction:
-    out = np.where(np.arange(g.m + 1) <= horizon_node, vals, np.nan)
-    return GridFunction(g, out)
 
 
 def _check_nonneg(f: GridFunction, name: str) -> None:
@@ -301,9 +310,9 @@ def lemma31_bound(
 ) -> BoundResult:
     """Bernoulli-type bound for v' <= b v + k v^p with v(alpha) <= v_alpha.
 
-    The bracket ``v_alpha^q + q * int k exp(-q Cb)`` must stay positive;
-    its first crossing is the horizon.  ``k`` may change sign, so the
-    crossing search runs for every q.
+    The bound is ``exp(Cb) [v_alpha^q + q int k exp(-q Cb)]^(1/q)`` with
+    ``Cb = int b``; ``k`` may change sign, so the bracket can reach zero
+    for either sign of q, and its first crossing is the horizon.
     """
     if not v_alpha > 0:
         raise HypothesisError(f"lemma31 requires v(alpha) > 0, got {v_alpha}")
@@ -314,14 +323,29 @@ def lemma31_bound(
     q = 1.0 - p
     Cb = cumulative_trapezoid(b).values
     with np.errstate(all="ignore"):
-        integrand = GridFunction(g, k.values * np.exp(-q * Cb))
-        bracket = GridFunction(
-            g, np.power(v_alpha, q) + q * cumulative_trapezoid(integrand).values
-        )
-    node, time, kind = detect_horizon(bracket, "q_positivity")
+        factor = np.exp(Cb)
+        integrand = k.values * np.exp(-q * Cb)
+    return _bracket_bound(g, factor, v_alpha, q, integrand, HorizonKind.Q_POSITIVITY)
+
+
+def _bracket_bound(
+    g: Grid, factor, datum, q: float, integrand: np.ndarray, kind: HorizonKind
+) -> BoundResult:
+    """``factor * (datum^q + q int_alpha^t integrand)^(1/q)`` and its horizon.
+
+    The horizon is the last node before the bracket stops being positive;
+    ``kind`` labels that crossing.
+    """
     with np.errstate(all="ignore"):
-        vals = np.exp(Cb) * np.power(bracket.values, 1.0 / q)
-    return BoundResult(_masked_past(g, vals, node), node, time, kind)
+        integral = cumulative_trapezoid(GridFunction(g, integrand)).values
+        bracket = np.power(datum, q) + q * integral
+    node, time, crossed = detect_horizon(GridFunction(g, bracket), "q_positivity")
+    if crossed is not HorizonKind.FULL:
+        crossed = kind
+    with np.errstate(all="ignore"):
+        vals = factor * np.power(bracket, 1.0 / q)
+    vals[node + 1 :] = np.nan
+    return BoundResult(GridFunction(g, vals), node, time, crossed)
 
 
 def bykov_bound(
@@ -336,16 +360,6 @@ def bykov_bound(
     return GridFunction(g, out)
 
 
-def _power_form_result(
-    g: Grid, factor: np.ndarray, s: np.ndarray, p: float
-) -> BoundResult:
-    """Common tail of thm22/23/24: factor * (1 - s)^(1/(1-p)), horizon at s = 1."""
-    node, time, kind = detect_horizon(GridFunction(g, s), "p_blow_up")
-    with np.errstate(all="ignore"):
-        vals = factor * np.power(1.0 - s, 1.0 / (1.0 - p))
-    return BoundResult(_masked_past(g, vals, node), node, time, kind)
-
-
 def thm22_bound(inst: ProblemInstance) -> BoundResult:
     """Power-nonlinearity bound with a nondecreasing datum function."""
     _require_theorem(inst, "thm22")
@@ -353,9 +367,8 @@ def thm22_bound(inst: ProblemInstance) -> BoundResult:
     a = inst.a_fn.values
     B = compute_B(inst.b, inst.kernels.k, inst.kernels.h, g)
     with np.errstate(all="ignore"):
-        integrand = GridFunction(g, B.values * np.power(a, p - 1.0))
-        s = (p - 1.0) * cumulative_trapezoid(integrand).values
-    return _power_form_result(g, a, s, p)
+        integrand = B.values * np.power(a, p - 1.0)
+    return _bracket_bound(g, a, 1.0, inst.q, integrand, HorizonKind.P_BLOW_UP)
 
 
 def thm23_bound(inst: ProblemInstance) -> BoundResult:
@@ -365,16 +378,11 @@ def thm23_bound(inst: ProblemInstance) -> BoundResult:
     sig = inst.sigma.values
     B1 = compute_B(inst.b, inst.kernels.k, None, g)
     with np.errstate(all="ignore"):
-        integrand = GridFunction(
-            g, B1.values * np.power(sig, p - 1.0) * np.exp(sig)
-        )
-        s = (
-            (p - 1.0)
-            * np.power(a1, p - 1.0)
-            * cumulative_trapezoid(integrand).values
+        integrand = (
+            B1.values * np.power(sig, p - 1.0) * np.exp(sig) * np.power(a1, p - 1.0)
         )
         factor = a1 * sig * np.exp(sig)
-    return _power_form_result(g, factor, s, p)
+    return _bracket_bound(g, factor, 1.0, inst.q, integrand, HorizonKind.P_BLOW_UP)
 
 
 def thm24_bound(inst: ProblemInstance) -> BoundResult:
@@ -387,80 +395,56 @@ def thm24_bound(inst: ProblemInstance) -> BoundResult:
         w = GridFunction(g, np.power(b, p))
     RQ = apply_R(inst.kernels, w, g) + apply_Q(inst.kernels, w, g)
     with np.errstate(all="ignore"):
-        integrand = GridFunction(g, np.power(a / b, p - 1.0) * RQ.values)
-        s = (p - 1.0) * cumulative_trapezoid(integrand).values
-    return _power_form_result(g, a, s, p)
+        integrand = np.power(a / b, p - 1.0) * RQ.values
+    return _bracket_bound(g, a, 1.0, inst.q, integrand, HorizonKind.P_BLOW_UP)
 
 
-def _q_form_result(
-    g: Grid, factor, bracket_vals: np.ndarray, q: float, search_always: bool = False
-) -> BoundResult:
-    """Common tail of the section-3 bounds: factor * bracket^(1/q).
-
-    For q > 0 with nonnegative data the bracket is automatically positive,
-    so no crossing search runs unless ``search_always`` is set (needed when
-    kernel t-derivatives of unchecked sign feed the bracket).
-    """
-    bracket = GridFunction(g, bracket_vals)
-    if q > 0 and not search_always:
-        node, time, kind = g.m, g.beta, HorizonKind.FULL
-    else:
-        node, time, kind = detect_horizon(bracket, "q_positivity")
-    with np.errstate(all="ignore"):
-        vals = factor * np.power(bracket_vals, 1.0 / q)
-    return BoundResult(_masked_past(g, vals, node), node, time, kind)
+def _pair_q_form(inst: ProblemInstance) -> BoundResult:
+    """thm32/thm33: [A^q + q int B]^(1/q), A the running sup of the datum."""
+    g = inst.grid
+    A = running_sup(GridFunction(g, inst.a_values)).values
+    B = compute_B(inst.b, inst.kernels.k, inst.kernels.h, g)
+    return _bracket_bound(g, 1.0, A, inst.q, B.values, HorizonKind.Q_POSITIVITY)
 
 
 def thm32_bound(inst: ProblemInstance) -> BoundResult:
     """Bound [a^q + q int B]^(1/q) for a constant datum a > 0."""
     _require_theorem(inst, "thm32")
-    g, q = inst.grid, inst.q
-    B = compute_B(inst.b, inst.kernels.k, inst.kernels.h, g)
-    with np.errstate(all="ignore"):
-        bracket = np.power(inst.a_const, q) + q * cumulative_trapezoid(B).values
-    return _q_form_result(g, 1.0, bracket, q)
+    return _pair_q_form(inst)
 
 
 def thm33_bound(inst: ProblemInstance) -> BoundResult:
     """As thm32 with the running supremum A(t) of the datum in place of a."""
     _require_theorem(inst, "thm33")
-    g, q = inst.grid, inst.q
-    A = running_sup(inst.a_fn).values
-    B = compute_B(inst.b, inst.kernels.k, inst.kernels.h, g)
+    return _pair_q_form(inst)
+
+
+def _multiplier_q_form(inst: ProblemInstance, b: np.ndarray, ks: KernelSet) -> BoundResult:
+    """thm34/cor35: b(t) [a^q + q int (R[b^p]+Q[b^p])]^(1/q), ``ks`` iterated."""
+    g = inst.grid
     with np.errstate(all="ignore"):
-        bracket = np.power(A, q) + q * cumulative_trapezoid(B).values
-    return _q_form_result(g, 1.0, bracket, q)
+        w = GridFunction(g, np.power(b, inst.p))
+    RQ = apply_R(ks, w, g) + apply_Q(ks, w, g)
+    return _bracket_bound(g, b, inst.a_const, inst.q, RQ.values, HorizonKind.Q_POSITIVITY)
 
 
 def thm34_bound(inst: ProblemInstance) -> BoundResult:
     """Multiplier form b(t) [a^q + q int (R[b^p]+Q[b^p])]^(1/q)."""
     _require_theorem(inst, "thm34")
-    g, q, p = inst.grid, inst.q, inst.p
-    b = inst.b.values
-    with np.errstate(all="ignore"):
-        w = GridFunction(g, np.power(b, p))
-    RQ = apply_R(inst.kernels, w, g) + apply_Q(inst.kernels, w, g)
-    with np.errstate(all="ignore"):
-        bracket = np.power(inst.a_const, q) + q * cumulative_trapezoid(RQ).values
-    return _q_form_result(g, b, bracket, q, search_always=True)
+    return _multiplier_q_form(inst, inst.b.values, inst.kernels)
 
 
 def cor35_bound(inst: ProblemInstance) -> BoundResult:
     """Direct-kernel bound [a^q + q int (R + Q)]^(1/q).
 
-    R + Q is ``apply_R + apply_Q`` on the iterated set (k, h) with w = 1:
+    This is thm34 with b = 1 on the iterated set (k, h):
     R(t) = k(t,t) + int_a^t h(t,t,r) dr and Q integrates the kernel
     t-derivatives (each kernel's ``dt_body``).
     """
     _require_theorem(inst, "cor35")
-    g, q = inst.grid, inst.q
     k, h = inst.kernels.k, inst.kernels.h
     ks = KernelSet.iterated([k or Kernel(1, "0")] + ([h] if h is not None else []))
-    ones = constant(1.0, g)
-    RQ = apply_R(ks, ones, g) + apply_Q(ks, ones, g)
-    with np.errstate(all="ignore"):
-        bracket = np.power(inst.a_const, q) + q * cumulative_trapezoid(RQ).values
-    return _q_form_result(g, 1.0, bracket, q, search_always=True)
+    return _multiplier_q_form(inst, np.ones(inst.grid.m + 1), ks)
 
 
 _BOUND_DISPATCH = {

@@ -5,7 +5,8 @@ Scenario configs are plain text, ``key = value`` lines grouped under
 comments.  Outputs are CSV with numbers at 17 significant digits and LF
 line endings, so identical configs (and seeds) produce bit-identical
 files.  Exit codes: 0 success / verification PASS, 1 verification FAIL,
-2 configuration or hypothesis error.
+2 configuration or hypothesis error, or an oracle run that leaves
+nothing to compare.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .oracle import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     SUITE_FAMILIES,
+    OracleError,
     dominance_case,
     picard_extremal,
     verify_dominance,
@@ -30,7 +32,6 @@ from .oracle import (
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_config", "main", "console_main"]
 
-_PAIR_THEOREMS = ("bykov", "thm22", "thm23", "thm32", "thm33", "cor35")
 _ITERATED_THEOREMS = ("thm24", "thm34")
 
 _PROBLEM_KEYS = {
@@ -312,6 +313,12 @@ def cmd_verify(cfg: ScenarioConfig, out_path: str | None) -> int:
     outcome = picard_extremal(inst, tol=cfg.tol, max_iter=cfg.max_iter)
     report = verify_dominance(outcome.u, br, outcome.conv_node)
     n = report.compare_node
+    if n == 0 < br.horizon_node:
+        raise OracleError(
+            f"Picard converged on node 0 alone (picard={outcome.status.value} "
+            f"iterations={outcome.iterations}) while the horizon lies at node "
+            f"{br.horizon_node}: the comparison would certify nothing"
+        )
     bvals = br.bound.values[: n + 1]
     uvals = outcome.u.values[: n + 1]
     passed = bool(((uvals - bvals) <= VERIFY_RTOL * (1.0 + bvals)).all())
@@ -442,7 +449,9 @@ def main(argv=None) -> int:
         if args.command == "convergence":
             return cmd_convergence(cfg, args.levels, args.out)
         return cmd_suite(cfg, args.cases, args.seed, args.out)
-    except (ConfigError, ExprError, KernelError, HypothesisError, GridError, OSError) as err:
+    except (
+        ConfigError, ExprError, KernelError, HypothesisError, GridError, OracleError, OSError
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

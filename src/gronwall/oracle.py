@@ -31,6 +31,7 @@ from .grid import Grid, GridFunction, cumulative_trapezoid
 from .kernels import Kernel, KernelSet, _sum_term_maps, _TermMap
 
 __all__ = [
+    "OracleError",
     "PicardStatus",
     "PicardOutcome",
     "DominanceReport",
@@ -55,6 +56,10 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
 
 SUITE_FAMILIES = ("thm22", "thm32", "thm33", "cor35")
+
+
+class OracleError(RuntimeError):
+    """The Picard oracle leaves nothing to compare, or its iterates decreased."""
 
 
 class PicardStatus(enum.Enum):
@@ -114,12 +119,11 @@ class DiscreteRhs:
                 acc += self.A @ w
             if self.C is not None:
                 acc += _TermMap(self.C, True).apply(w, g)
-            if t == "cor35":
-                return inst.a_const + acc
             if t == "thm24":
                 return inst.a_values + inst.b.values * acc
-            if t == "thm34":
-                return inst.b.values * (inst.a_const + acc)
+            if t in ("thm34", "cor35"):  # cor35 is thm34 with b = 1
+                b = 1.0 if inst.b is None else inst.b.values
+                return b * (inst.a_const + acc)
             # cumulative forms: datum + int_a^t (b w + int k w + int int h w)
             acc = cumulative_trapezoid(GridFunction(g, inst.b.values * w + acc)).values
         if t == "thm23":
@@ -179,7 +183,7 @@ def picard_extremal(
             break
         if (un[:end] < u[:end]).any():
             j = int(np.argmax(un[:end] < u[:end]))
-            raise RuntimeError(
+            raise OracleError(
                 f"Picard iterates decreased at node {j}: monotonicity violated"
             )
         with np.errstate(all="ignore"):
@@ -252,7 +256,7 @@ def verify_dominance(
     """
     n = min(br.horizon_node, conv_node)
     if n < 0:
-        raise ValueError("nothing to compare: empty converged prefix")
+        raise OracleError("nothing to compare: empty converged prefix")
     bvals = br.bound.values[: n + 1]
     uvals = u.values[: n + 1]
     viol = uvals - bvals
@@ -314,8 +318,8 @@ def random_instance(theorem: str, seed: int, m: int = 256) -> ProblemInstance:
     b = c0 + c1 t, double kernel c2 exp(-(t-s)), triple kernel c3, datum
     c4 (plus c5 t for the nondecreasing-datum families), with p drawn
     from the family's admissible subset of {0, 0.5, 2, 3}.  cor35 needs a
-    nonnegative kernel t-derivative, so its double kernel is c2 exp(t-s)
-    with the derivative given explicitly.
+    nonnegative kernel t-derivative, so its double kernel is c2 exp(t-s),
+    whose derived t-derivative is the kernel itself.
     """
     if theorem not in _SUITE_P:
         raise ValueError(f"no random family for {theorem!r}")
@@ -327,8 +331,7 @@ def random_instance(theorem: str, seed: int, m: int = 256) -> ProblemInstance:
     b = GridFunction(g, c[0] + c[1] * T)
     h = Kernel(2, repr(c[3]))
     if theorem == "cor35":
-        src = f"{c[2]!r}*exp(t-s)"
-        kernels = KernelSet.pair(Kernel(1, src, dt_body=src), h)
+        kernels = KernelSet.pair(Kernel(1, f"{c[2]!r}*exp(t-s)"), h)
         return ProblemInstance("cor35", p, g, a_const=c[4], kernels=kernels)
     k = Kernel(1, f"{c[2]!r}*exp(-(t-s))")
     kernels = KernelSet.pair(k, h)

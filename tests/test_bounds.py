@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from gronwall.bounds import (
 )
 from gronwall.grid import Grid, GridFunction, constant
 from gronwall.kernels import Kernel, KernelSet
+from gronwall.oracle import _SUITE_P, picard_extremal, random_instance
 
 
 class TestDetectHorizon:
@@ -280,6 +282,15 @@ class TestCor35:
         assert np.abs(br.bound.values - exact).max() <= 1e-5
 
 
+def _assert_identical(br1, br2, inst1, inst2):
+    """Bit-identical bound, horizon and Picard extremal."""
+    assert np.array_equal(br1.bound.values, br2.bound.values, equal_nan=True)
+    horizon = (br1.horizon_node, br1.horizon_time, br1.horizon_kind)
+    assert horizon == (br2.horizon_node, br2.horizon_time, br2.horizon_kind)
+    u1, u2 = picard_extremal(inst1).u.values, picard_extremal(inst2).u.values
+    assert np.array_equal(u1, u2, equal_nan=True)
+
+
 class TestReductionChains:
     @pytest.mark.parametrize("p", [0.5, 2.0])
     def test_thm34_matches_cor35(self, p):
@@ -295,6 +306,25 @@ class TestReductionChains:
         n = min(b34.horizon_node, b35.horizon_node)
         diff = np.abs(b34.bound.values[: n + 1] - b35.bound.values[: n + 1])
         assert diff.max() <= 1e-9
+
+    @pytest.mark.parametrize("p", _SUITE_P["thm32"])
+    def test_thm32_is_thm33_with_constant_datum(self, p):
+        for seed in range(42, 62):
+            i32 = dataclasses.replace(random_instance("thm32", seed, m=128), p=p)
+            i33 = dataclasses.replace(
+                i32, theorem="thm33", a_const=None, a_fn=constant(i32.a_const, i32.grid)
+            )
+            _assert_identical(thm32_bound(i32), thm33_bound(i33), i32, i33)
+
+    @pytest.mark.parametrize("p", _SUITE_P["cor35"])
+    def test_cor35_is_thm34_with_unit_multiplier(self, p):
+        for seed in range(42, 62):
+            i35 = dataclasses.replace(random_instance("cor35", seed, m=128), p=p)
+            i34 = dataclasses.replace(
+                i35, theorem="thm34", b=constant(1.0, i35.grid),
+                kernels=KernelSet.iterated([i35.kernels.k, i35.kernels.h]),
+            )
+            _assert_identical(cor35_bound(i35), thm34_bound(i34), i35, i34)
 
     def test_thm32_p0_reduces_to_a_plus_integral(self):
         from gronwall.grid import cumulative_trapezoid

@@ -299,6 +299,24 @@ class TestExitCodes:
         assert cli.main(["bound", "--config", cfg]) == 2
         assert "a > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        # node 0 escapes on the first sweep: no node converges
+        ("[problem]\ntheorem = thm32\np = 2\nalpha = 0\nbeta = 1\na = 1e13\n"
+         "b_expr = 1\n[grid]\nm = 16\n", "nothing to compare"),
+        # one sweep converges node 0 alone while the bound holds to beta
+        ("[problem]\ntheorem = thm32\np = 2\nalpha = 0\nbeta = 1\na = 0.5\n"
+         "b_expr = 1\nk_expr = 0.5*exp(-(t-s))\n[grid]\nm = 256\n"
+         "[oracle]\nmax_iter = 1\n", "picard=max_iter iterations=1"),
+    ], ids=["escaped-at-node-0", "max-iter-1"])
+    def test_verify_without_comparison_exit_2(self, tmp_path, capsys, text, message):
+        cfg = write(tmp_path, "o.cfg", text)
+        out = tmp_path / "verify.csv"
+        assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()
+
     def test_nonfinite_sample_exit_2(self, tmp_path):
         text = RICCATI_CONFIG.replace("b_expr = 1", "b_expr = 1/(0.5-t)")
         cfg = write(tmp_path, "bad.cfg", text)
