@@ -369,6 +369,149 @@ def derivative(e: Expr, var: str) -> Expr:
     return _mul(e, _add(log_term, BinOp("/", _mul(v, du), u)))
 
 
+MAX_RANK = 16
+MAX_EXPAND_DEGREE = 4
+
+
+def separate(e: Expr, variables: Iterable[str]) -> list | None:
+    """Split ``e`` into a short sum of products of one-variable factors.
+
+    Returns ``[(coef, {var: factor})]`` with ``e = sum coef * prod factor``,
+    one factor per name in ``variables`` (``Num(1.0)`` where a term does
+    not read that name), or None when ``e`` is not recognized as
+    separable.  Products are expanded over sums, integer powers of sums up
+    to ``MAX_EXPAND_DEGREE``; powers of products and ``exp`` of a sum of
+    one-variable terms are split.  A subtree that reads at most one
+    variable is one factor.  Anything else gives None, as does a sum of
+    more than ``MAX_RANK`` terms.
+
+    A split power can be undefined where ``e`` is not: ``(t*s)^0.5`` at
+    t, s < 0 gives NaN factors.  Wherever every factor is finite, the sum
+    equals ``e``.
+    """
+    variables = tuple(variables)
+    extra = free_variables(e) - set(variables)
+    if extra:
+        raise ValueError(f"expression reads {sorted(extra)} outside {list(variables)}")
+    terms = _separate(e)
+    if terms is None:
+        return None
+    return [(c, {v: f.get(v, _ONE) for v in variables}) for c, f in terms]
+
+
+def _separate(e: Expr) -> list | None:
+    """``separate`` on factor dicts that leave out unit factors."""
+    names = free_variables(e)
+    if not names:
+        c = evaluate(e, {})
+        return [(c, {})] if np.isfinite(c) else None
+    if len(names) == 1:
+        return [(1.0, {next(iter(names)): e})]
+    if isinstance(e, Neg):
+        return _scale(_separate(e.operand), -1.0)
+    if isinstance(e, Call):
+        return _separate_exp(e.arg) if e.func == "exp" else None
+    if e.op == "^":
+        return _separate_power(e.left, e.right)
+    a, b = _separate(e.left), _separate(e.right)
+    if a is None or b is None:
+        return None
+    if e.op == "+":
+        return _collect(a + b)
+    if e.op == "-":
+        return _collect(a + _scale(b, -1.0))
+    if e.op == "*":
+        return _product(a, b)
+    return _product(a, _reciprocal(b))
+
+
+def _scale(terms: list | None, c: float) -> list | None:
+    return None if terms is None else [(c * tc, f) for tc, f in terms]
+
+
+def _collect(terms: list) -> list | None:
+    """Merge terms with identical factors; None past ``MAX_RANK`` terms.
+
+    Terms whose coefficients cancel are kept, so that a factor that is
+    non-finite somewhere still shows when it is sampled.
+    """
+    merged: dict = {}
+    for c, f in terms:
+        key = frozenset(f.items())
+        merged[key] = merged.get(key, 0.0) + c
+    if len(merged) > MAX_RANK:
+        return None
+    return [(c, dict(key)) for key, c in merged.items()]
+
+
+def _product(a: list, b: list | None) -> list | None:
+    if b is None:
+        return None
+    out = []
+    for ca, fa in a:
+        for cb, fb in b:
+            f = dict(fa)
+            for v, x in fb.items():
+                f[v] = BinOp("*", f[v], x) if v in f else x
+            out.append((ca * cb, f))
+    return _collect(out)
+
+
+def _reciprocal(terms: list) -> list | None:
+    if len(terms) != 1 or terms[0][0] == 0.0:
+        return None
+    c, f = terms[0]
+    return [(1.0 / c, {v: BinOp("/", _ONE, x) for v, x in f.items()})]
+
+
+def _separate_power(base: Expr, exponent: Expr) -> list | None:
+    if free_variables(exponent):
+        return None
+    n = evaluate(exponent, {})
+    terms = _separate(base)
+    if terms is None or not np.isfinite(n):
+        return None
+    if len(terms) == 1:
+        # (c prod f)^n = c^n prod f^n wherever the f^n are real.
+        c, f = terms[0]
+        with np.errstate(all="ignore"):
+            cn = float(np.power(c, n))
+        if not np.isfinite(cn):
+            return None
+        return [(cn, {v: BinOp("^", x, exponent) for v, x in f.items()})]
+    if n != int(n) or not 2 <= n <= MAX_EXPAND_DEGREE:
+        return None
+    out = terms
+    for _ in range(int(n) - 1):
+        if out is None:
+            return None
+        out = _product(out, terms)
+    return out
+
+
+def _separate_exp(arg: Expr) -> list | None:
+    """exp(c + sum_v g_v(v)) = e^c prod_v exp(g_v(v))."""
+    terms = _separate(arg)
+    if terms is None or any(len(f) > 1 for _, f in terms):
+        return None
+    c, parts = 0.0, {}
+    for tc, f in terms:
+        if not f:
+            c += tc
+            continue
+        ((v, x),) = f.items()
+        # No _mul here: a cancelled term (tc = 0) keeps its factor, so
+        # a factor that is non-finite somewhere still shows.
+        piece = x if abs(tc) == 1.0 else BinOp("*", Num(abs(tc)), x)
+        piece = piece if tc >= 0 else Neg(piece)
+        parts[v] = _add(parts[v], piece) if v in parts else piece
+    with np.errstate(all="ignore"):
+        coef = float(np.exp(c))
+    if not np.isfinite(coef):
+        return None
+    return [(coef, {v: Call("exp", g) for v, g in parts.items()})]
+
+
 # Printing precedence levels; a child is parenthesized when its level is
 # below what its position requires.
 _PREC_ADD = 1

@@ -11,8 +11,23 @@ All quadrature is nested composite trapezoid on the shared grid, with
 inner integrals over fewer than two nodes evaluating to zero.  A kernel
 term pins ``t`` and its first ``n_diag`` inner slots to the outer node,
 integrates the other ``depth = arity - n_diag`` slots and carries a weight
-``w`` on the innermost one.  It is linear in ``w``, so it is assembled
-once into a lower-triangular map of one of three shapes:
+``w`` on the innermost one.  It is linear in ``w``.
+
+A separable term is a chain of running sums.  With the pinned slots
+folded into ``t``, ``expr.separate`` writes the kernel as a short sum of
+``coef * f0(t) f1(x1) ... fd(xd)`` over the integrated slots ``x1..xd``,
+and the nested rule factors exactly into
+``term(w) = sum coef * f0 * cumtrap(f1 * cumtrap(... fd * w))``: each
+factor is sampled once on the grid, and building and applying cost
+O(m * depth * rank) with no O(m^2) array.  The chain is used only when
+every coefficient and every factor sample is finite and nonnegative, so
+the kernel is nonnegative and finite on the whole grid, and when each
+term's factors multiply to within ``2^(+-SAFE_LOG2)`` (``e^(+-t)``
+factors overflow past |t| ~ 709, and tiny factors lose precision as
+subnormals).
+
+Every other term is assembled densely, as a lower-triangular map of one
+of three shapes:
 
 - a diagonal ``d`` (depth 0): ``term(w) = d * w``; O(m) to build;
 - a matrix ``A`` (the kernel reads ``t`` or a pinned slot):
@@ -22,9 +37,11 @@ once into a lower-triangular map of one of three shapes:
   cumulative_trapezoid(C @ w)``; ``C`` is a diagonal at depth 1 and a
   matrix costing O(m^depth) to build otherwise.
 
-Applying a map costs O(m) or one O(m^2) mat-vec.  Kernels must be
-nonnegative where sampled (tolerance -1e-12); violations raise
-:class:`NegativeKernelError` naming the node.
+Applying a dense map costs O(m) or one O(m^2) mat-vec.  The dense path
+checks the kernel's samples: they must be finite and nonnegative
+(tolerance -1e-12), and violations raise :class:`KernelError` or
+:class:`NegativeKernelError` naming the node.  The Picard oracle's
+right-hand side (``_sum_term_maps``) always uses the dense maps.
 """
 
 from __future__ import annotations
@@ -35,7 +52,15 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expr as expr_mod
-from .expr import Expr, Num, derivative, free_variables, parse, rename_variables
+from .expr import (
+    Expr,
+    Num,
+    derivative,
+    free_variables,
+    parse,
+    rename_variables,
+    separate,
+)
 from .grid import Grid, GridFunction, cumulative_trapezoid
 
 __all__ = [
@@ -51,6 +76,7 @@ __all__ = [
 ]
 
 NONNEG_TOL = -1e-12
+SAFE_LOG2 = 600.0
 MAX_ITERATED_KERNELS = 4
 
 _ALIASES = {"s": "t1", "r": "t2"}
@@ -299,6 +325,56 @@ def _sum_term_maps(terms, g: Grid) -> tuple:
     return parts[False], parts[True]
 
 
+class _Chain(NamedTuple):
+    """A separable kernel term: ``(coef, [f0, f1, ..., fd])`` per rank-one
+    part, each factor sampled on the grid (see the module docstring)."""
+
+    terms: list
+
+    def apply(self, w: np.ndarray, g: Grid) -> np.ndarray:
+        out = np.zeros(g.m + 1)
+        with np.errstate(all="ignore"):
+            for coef, (f0, *inner) in self.terms:
+                v = w
+                for f in reversed(inner):
+                    v = cumulative_trapezoid(GridFunction(g, f * v)).values
+                out += coef * (f0 * v)
+        return out
+
+
+def _log2_span(f: np.ndarray) -> float:
+    """Largest |log2| of the nonzero entries of ``f`` (``f >= 0``)."""
+    pos = f[f > 0]
+    if not pos.size:
+        return 0.0
+    return float(max(abs(np.log2(pos.min())), abs(np.log2(pos.max()))))
+
+
+def _chain(k: Kernel, g: Grid, n_diag: int, use_dt: bool = False) -> _Chain | None:
+    """The running-sum form of a kernel term, or None when the kernel does
+    not separate into nonnegative factors within the safe range."""
+    names = [f"t{i}" for i in range(1, k.arity + 1)]
+    body = k.dt_body if use_dt else k.body
+    body = rename_variables(body, dict.fromkeys(names[:n_diag], "t"))
+    slots = ["t", *names[n_diag:]]
+    terms = separate(body, slots)
+    if terms is None:
+        return None
+    T = g.nodes
+    sampled = []
+    for coef, factors in terms:
+        if not 0.0 <= coef < np.inf:
+            return None
+        fs = [_eval_on(factors[v], {v: T}) for v in slots]
+        if not all(np.isfinite(f).all() and (f >= 0).all() for f in fs):
+            return None
+        span = sum(map(_log2_span, fs)) + (abs(np.log2(coef)) if coef > 0 else 0.0)
+        if span > SAFE_LOG2:
+            return None
+        sampled.append((coef, fs))
+    return _Chain(sampled)
+
+
 def _simplex_term(
     k: Kernel,
     w: np.ndarray,
@@ -313,8 +389,12 @@ def _simplex_term(
     pinned to the outer node t_j; the remaining ``arity - n_diag`` slots
     are integrated over the ordered simplex below t_j, with ``w`` attached
     to the innermost variable.  ``n_diag = arity`` is the pure diagonal
-    term ``k(t, t, ..., t) * w(t)``.
+    term ``k(t, t, ..., t) * w(t)``.  A separable kernel runs as a chain
+    of running sums; any other goes through the dense ``_term_map``.
     """
+    chain = _chain(k, g, n_diag, use_dt)
+    if chain is not None:
+        return chain.apply(w, g)
     return _term_map(k, g, n_diag, use_dt, label).apply(w, g)
 
 
@@ -329,7 +409,8 @@ def compute_B(
     """B(t) = b(t) + int_a^t k(t,s) ds + int_a^t int_a^s h(t,s,r) dr ds.
 
     ``k`` must have arity 1 and ``h`` arity 2; pass None for an absent
-    kernel.  The k-term costs O(m^2); a t-dependent h-term costs O(m^3).
+    kernel.  A separable kernel costs O(m * rank); otherwise the k-term
+    costs O(m^2) and a t-dependent h-term O(m^3).
     """
     _require_grid(b, g, "b")
     out = b.values.copy()
@@ -349,7 +430,8 @@ def apply_R(ks: KernelSet, w: GridFunction, g: Grid) -> GridFunction:
     """The functional R[w](t) of an iterated kernel set.
 
     R[w](t) = k1(t,t) w(t) + sum_{i>=2} iterated integral of
-    k_i(t, t, t2, ..., ti) w(ti) over the simplex below t.
+    k_i(t, t, t2, ..., ti) w(ti) over the simplex below t.  A separable
+    k_i costs O(m * (i-1) * rank); otherwise it costs O(m^i).
     """
     ks._require("iterated")
     _require_grid(w, g, "w")
@@ -366,6 +448,8 @@ def apply_Q(ks: KernelSet, w: GridFunction, g: Grid) -> GridFunction:
 
     Each term integrates the kernel's ``dt_body`` (its exact t-derivative
     unless one was given); a non-finite term names the kernel and node.
+    A ``dt_body`` that separates into nonnegative factors costs
+    O(m * i * rank); otherwise k_i costs O(m^(i+1)).
     """
     ks._require("iterated")
     _require_grid(w, g, "w")

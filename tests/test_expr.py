@@ -18,6 +18,7 @@ from gronwall.expr import (
     evaluate,
     free_variables,
     parse,
+    separate,
     to_source,
 )
 
@@ -224,3 +225,82 @@ def test_derivative_matches_sympy_on_1000_random_asts():
             assert got == pytest.approx(float(want), rel=1e-9, abs=1e-12), (
                 to_source(node), point)
     assert compared > 2500
+
+
+VARS = ("t", "s", "r")
+
+
+def test_separate_round_trip_on_random_asts():
+    """Wherever every factor is finite, the split sums back to the tree.
+
+    The tolerance is relative to the terms' magnitudes, since an expanded
+    product can cancel.
+    """
+    rng = random.Random(20240811)
+    split = compared = 0
+    for _ in range(2000):
+        node = _random_ast(rng, depth=4)
+        terms = separate(node, VARS)
+        if terms is None:
+            continue
+        split += len(free_variables(node)) > 1
+        for _ in range(3):
+            point = {name: rng.uniform(-2.0, 3.0) for name in VARS}
+            parts = [c * math.prod(evaluate(f, point) for f in fs.values()) for c, fs in terms]
+            if not all(map(math.isfinite, parts)):
+                continue
+            compared += 1
+            want = evaluate(node, point)
+            scale = abs(want) + sum(map(abs, parts))
+            assert abs(sum(parts) - want) <= 1e-12 * scale, (to_source(node), point)
+    assert split > 100 and compared > 4000
+
+
+@pytest.mark.parametrize(
+    "source,rank",
+    [
+        ("0.3*exp(-(t-s))", 1),
+        ("t*(1+s*r)", 2),
+        ("t^2*(1+r)", 1),  # 1+r reads one variable: one factor
+        ("(t+s)^2", 3),
+        ("(t*s)^1.5 / (2*r)", 1),
+        ("2*exp(1 + t - 3*s + r^2)", 1),
+    ],
+)
+def test_separate_rank(source, rank):
+    node = parse(source, VARS)
+    terms = separate(node, VARS)
+    assert len(terms) == rank
+    for c, fs in terms:
+        assert set(fs) == set(VARS)
+        for name, f in fs.items():
+            assert free_variables(f) <= {name}
+    point = {"t": 0.7, "s": 0.4, "r": 1.3}
+    got = sum(c * math.prod(evaluate(f, point) for f in fs.values()) for c, fs in terms)
+    assert got == pytest.approx(evaluate(node, point), rel=1e-14)
+
+
+def test_separate_exp_kernel_factors():
+    ((c, fs),) = separate(parse("0.3*exp(-(t-s))", VARS), ("t", "s"))
+    assert c == 0.3
+    assert fs == {"t": parse("exp(-t)", VARS), "s": parse("exp(s)", VARS)}
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["(t-s)^1.5", "sqrt(t-s)", "sin(t*s)", "exp(t*s)", "t^s", "1/(t+s)", "(t+s)^5",
+     "(t+s+r+1)^4"],
+)
+def test_separate_gives_up(source):
+    assert separate(parse(source, VARS), VARS) is None
+
+
+def test_separate_one_variable_subtree_is_one_factor():
+    node = parse("sin(t)^2 + log(t)", VARS)
+    assert separate(node, VARS) == [(1.0, {"t": node, "s": Num(1.0), "r": Num(1.0)})]
+    assert separate(parse("2^3", VARS), VARS) == [(8.0, dict.fromkeys(VARS, Num(1.0)))]
+
+
+def test_separate_names_the_variables():
+    with pytest.raises(ValueError, match="'r'"):
+        separate(parse("t*r", VARS), ("t", "s"))

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gronwall.bounds import ProblemInstance
+from conftest import make_instance
+from gronwall import kernels, oracle
+from gronwall.bounds import ProblemInstance, compute_bound
 from gronwall.expr import evaluate, parse
 from gronwall.grid import Grid, GridFunction, constant, sample
 from gronwall.kernels import (
@@ -359,3 +363,134 @@ class TestBruteForceReference:
                 ref = b.values * (0.7 + acc)
             got = rhs_operator(inst, gf(g, u)).values
             self.assert_close(got, ref, "exact")
+
+
+# --- separable kernels: chains of running sums against the dense maps ----
+
+# One-variable factors per slot.  Under use_dt only factors increasing in
+# t are drawn, so the t-derivative separates into nonnegative factors too.
+T_FACTORS = ("t", "t^2", "(1 + t)", "exp(t)")
+INNER_FACTORS = ("{v}", "{v}^2", "(1 + {v})", "exp({v})", "exp(-{v})", "1.5")
+COUPLED = ("exp(t - {v})", "exp(-(t - {v}))", "(1 + {v}*{u})", "({v} + {u})")
+
+
+@st.composite
+def separable_terms(draw):
+    """(body, arity, n_diag, use_dt) of a kernel term that separates into
+    nonnegative factors on a positive grid."""
+    arity = draw(st.integers(1, 4))
+    n_diag = draw(st.integers(0, arity - 1))
+    use_dt = draw(st.booleans())
+    reads_t = draw(st.booleans())
+    names = [f"t{i}" for i in range(1, arity + 1)]
+    coupled = [c for c in COUPLED if "t -" not in c or reads_t]
+    if use_dt:
+        coupled = [c for c in coupled if "-(t -" not in c]
+    products = []
+    for _ in range(draw(st.integers(1, 2))):
+        parts = [repr(draw(st.floats(0.1, 2.0)))]
+        if reads_t:
+            parts.append(draw(st.sampled_from(T_FACTORS)))
+        for v in draw(st.lists(st.sampled_from(names), unique=True)):
+            parts.append(draw(st.sampled_from(INNER_FACTORS)).format(v=v))
+        if draw(st.booleans()):
+            v, u = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+            parts.append(draw(st.sampled_from(coupled)).format(v=v, u=u))
+        products.append("*".join(parts))
+    return " + ".join(products), arity, n_diag, use_dt
+
+
+class TestSeparableChain:
+    @settings(max_examples=150, deadline=None)
+    @given(separable_terms(), st.integers(3, 8), st.integers(0, 2**32 - 1))
+    def test_chain_matches_dense(self, term, m, seed):
+        body, arity, n_diag, use_dt = term
+        k = Kernel(arity, body)
+        g = Grid(0.2, 1.3, m)
+        w = np.random.default_rng(seed).uniform(0.0, 2.0, m + 1)
+        chain = kernels._chain(k, g, n_diag, use_dt)
+        assert chain is not None, body
+        dense = kernels._term_map(k, g, n_diag, use_dt).apply(w, g)
+        got = chain.apply(w, g)
+        assert (np.abs(got - dense) <= 1e-13 * (1.0 + np.abs(dense))).all(), body
+
+    def test_negative_kernel_raises_the_dense_message(self):
+        g = Grid(0, 1, 8)
+        k = Kernel(1, "s - t")
+        assert kernels._chain(k, g, 0) is None
+        with pytest.raises(NegativeKernelError) as dense:
+            kernels._term_map(k, g, 0, label="k")
+        with pytest.raises(NegativeKernelError) as err:
+            compute_B(constant(0.0, g), k, None, g)
+        assert str(err.value) == str(dense.value)
+        assert "at node index (1, 0)" in str(err.value)
+
+    def test_mixed_sign_factors_take_the_dense_path(self):
+        g = Grid(0, 1, 8)
+        k = Kernel(1, "t - s")
+        assert kernels._chain(k, g, 0) is None
+        ones = np.ones(g.m + 1)
+        out = compute_B(constant(0.0, g), k, None, g).values
+        assert np.array_equal(out, kernels._term_map(k, g, 0).apply(ones, g))
+
+    @pytest.mark.parametrize("alpha", [700.0, -709.0])
+    def test_exponential_factors_out_of_range_take_the_dense_path(self, alpha):
+        # e^(+-t) overflows past |t| ~ 709; the running sums would too.
+        g = Grid(alpha, alpha + 9.0, 16)
+        k = Kernel(1, "exp(-(t-s))")
+        assert kernels._chain(k, g, 0) is None
+        ones = np.ones(g.m + 1)
+        out = compute_B(constant(0.0, g), k, None, g).values
+        assert np.isfinite(out).all()
+        assert np.array_equal(out, kernels._term_map(k, g, 0).apply(ones, g))
+
+    def test_large_exponential_factors_within_range(self):
+        g = Grid(150.0, 159.0, 16)
+        k = Kernel(1, "exp(-(t-s))")
+        ones = np.ones(g.m + 1)
+        chain = kernels._chain(k, g, 0)
+        dense = kernels._term_map(k, g, 0).apply(ones, g)
+        assert np.abs(chain.apply(ones, g) - dense).max() <= 1e-13 * (1.0 + dense.max())
+
+
+# Every kernel of `oracle.random_instance` and of the benchmark's refine and
+# iterated families, written out: each must run as a chain, since a silent
+# fallback to the dense maps brings back O(m^2) memory and O(m^3) time.
+CHAIN_INSTANCES = [
+    ("thm22", 2.0, dict(a_expr="0.6 + 0.2*t", b_expr="0.3 + 0.2*t",
+                        k="0.37*exp(-(t-s))", h="0.61")),
+    ("thm32", 0.5, dict(a=0.6, b_expr="0.3 + 0.2*t", k="0.37*exp(-(t-s))", h="0.61")),
+    ("thm33", 3.0, dict(a_expr="0.6 + 0.2*t", b_expr="0.3 + 0.2*t",
+                        k="0.37*exp(-(t-s))", h="0.61")),
+    ("cor35", 2.0, dict(a=0.6, k="0.37*exp(t-s)", h="0.61")),
+    ("cor35", 3.0, dict(a=0.6, k="0.3*exp(t-s)", h="0.3*t^2*(1 + r)")),
+    ("thm33", 2.0, dict(a_expr="0.6 + 0.2*t", b_expr="0.3 + 0.2*t",
+                        k="0.3*exp(-(t-s))", h="0.3*t^2*(1 + r)")),
+    ("thm22", 2.0, dict(a_expr="0.6 + 0.2*t", b_expr="0.3 + 0.2*t",
+                        k="0.3*exp(-(t-s))", h="0.3*t^2*(1 + r)")),
+    ("thm32", 0.5, dict(a=0.6, b_expr="0.3 + 0.2*t", k="0.3*exp(-(t-s))",
+                        h="0.3*t*(1 + s*r)")),
+    ("thm34", 0.5, dict(a=0.55, b_expr="(1 + 0.2*t)^2",
+                        ks=["0.5*(1 + t*t1)", "0.4*(t + t1)*t2", "0.3*t*(t1 + t2)*t3"])),
+    ("thm24", 2.0, dict(a_expr="0.275*(1 + 0.2*t)^2*(1 + 0.45*t)", b_expr="(1 + 0.2*t)^2",
+                        ks=["0.5*(1 + t*t1)", "0.4*(t + t1)*t2", "0.3*t*(t1 + t2)*t3"])),
+]
+
+
+class TestChainTraffic:
+    @pytest.fixture(autouse=True)
+    def no_dense_maps(self, monkeypatch):
+        def dense(k, *args, **kwargs):
+            raise AssertionError(f"dense fallback for {k.body}")
+
+        monkeypatch.setattr(kernels, "_term_map", dense)
+
+    @pytest.mark.parametrize("theorem,p,data", CHAIN_INSTANCES)
+    def test_benchmark_kernels_run_as_chains(self, theorem, p, data):
+        br = compute_bound(make_instance(theorem, p, 0, 1, 64, **data))
+        assert np.isfinite(br.bound.values[: br.horizon_node + 1]).all()
+
+    @pytest.mark.parametrize("theorem", oracle.SUITE_FAMILIES)
+    def test_suite_instances_run_as_chains(self, theorem):
+        for seed in range(42, 46):
+            compute_bound(oracle.random_instance(theorem, seed, m=64))
