@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridFunction, cumulative_trapezoid, running_sup
+from .grid import Grid, GridFunction, _running_trapezoid, cumulative_trapezoid, running_sup
 from .kernels import Kernel, KernelSet, apply_Q, apply_R, compute_B
 
 __all__ = [
@@ -97,25 +97,16 @@ class BoundResult:
         return self.horizon_kind is HorizonKind.FULL
 
 
-def detect_horizon(bracket: GridFunction, kind: str):
-    """Locate where ``bracket`` leaves its valid side.
+def detect_horizon(bracket: GridFunction):
+    """Locate where ``bracket`` stops being finite and strictly positive.
 
-    ``kind`` is ``"p_blow_up"`` (valid while strictly below 1) or
-    ``"q_positivity"`` (valid while strictly positive).  Returns
-    ``(horizon_node, horizon_time, HorizonKind)``; a node sitting exactly
-    on the threshold is excluded.  Raises :class:`HypothesisError` when
+    Returns ``(horizon_node, horizon_time, HorizonKind)``; a node sitting
+    exactly on zero is excluded.  Raises :class:`HypothesisError` when
     node 0 is already invalid.
     """
     vals = bracket.values
     T = bracket.grid.nodes
-    if kind == "p_blow_up":
-        threshold, result_kind = 1.0, HorizonKind.P_BLOW_UP
-        valid = np.isfinite(vals) & (vals < threshold)
-    elif kind == "q_positivity":
-        threshold, result_kind = 0.0, HorizonKind.Q_POSITIVITY
-        valid = np.isfinite(vals) & (vals > threshold)
-    else:
-        raise ValueError(f"unknown horizon kind {kind!r}")
+    valid = np.isfinite(vals) & (vals > 0.0)
     if not valid[0]:
         raise HypothesisError(
             f"bracket invalid at node 0 (value {vals[0]!r}): inconsistent instance"
@@ -126,10 +117,10 @@ def detect_horizon(bracket: GridFunction, kind: str):
     jstar = j - 1
     v0, v1 = vals[jstar], vals[j]
     if np.isfinite(v1) and v1 != v0:
-        time = T[jstar] + (T[j] - T[jstar]) * ((threshold - v0) / (v1 - v0))
+        time = T[jstar] + (T[j] - T[jstar]) * (v0 / (v0 - v1))
     else:
         time = T[j]
-    return jstar, float(time), result_kind
+    return jstar, float(time), HorizonKind.Q_POSITIVITY
 
 
 def _check_nonneg(f: GridFunction, name: str) -> None:
@@ -337,9 +328,8 @@ def _bracket_bound(
     ``kind`` labels that crossing.
     """
     with np.errstate(all="ignore"):
-        integral = cumulative_trapezoid(GridFunction(g, integrand)).values
-        bracket = np.power(datum, q) + q * integral
-    node, time, crossed = detect_horizon(GridFunction(g, bracket), "q_positivity")
+        bracket = np.power(datum, q) + q * _running_trapezoid(integrand, g.dt)
+    node, time, crossed = detect_horizon(GridFunction(g, bracket))
     if crossed is not HorizonKind.FULL:
         crossed = kind
     with np.errstate(all="ignore"):

@@ -366,14 +366,11 @@ def cmd_convergence(cfg: ScenarioConfig, levels: int, out_path: str | None) -> i
     if any(not r.full for r in results):
         t_cut = alpha + HORIZON_GUARD * (t_cut - alpha)
     diffs = []
-    for i, (coarse, fine) in enumerate(zip(results, results[1:])):
-        g = Grid(cfg.alpha, cfg.beta, cfg.m * 2**i)
+    for coarse, fine in zip(results, results[1:]):
         n = min(coarse.horizon_node, fine.horizon_node // 2)
-        usable = [j for j in range(n + 1) if g.nodes[j] <= t_cut]
-        d = max(
-            abs(coarse.bound.values[j] - fine.bound.values[2 * j]) for j in usable
-        )
-        diffs.append(d)
+        usable = coarse.bound.grid.nodes[: n + 1] <= t_cut
+        d = abs(coarse.bound.values[: n + 1] - fine.bound.values[: 2 * n + 1 : 2])
+        diffs.append(d[usable].max())
     lines = ["m,max_diff,ratio"]
     for i, d in enumerate(diffs):
         ratio = _fmt(d / diffs[i + 1]) if i + 1 < len(diffs) and diffs[i + 1] else ""
@@ -399,7 +396,7 @@ def cmd_suite(
     if cases < 1:
         raise ConfigError(f"cases must be at least 1, got {cases}")
     m = cfg.m if cfg.m is not None else DEFAULT_SUITE_M
-    lines = ["seed,p,pass,max_violation,horizon_time"]
+    lines = ["seed,p,pass,max_violation,horizon_time,picard_status,compare_node"]
     n_failed = 0
     for i in range(cases):
         case = dominance_case(
@@ -408,7 +405,8 @@ def cmd_suite(
         n_failed += 0 if case.passed else 1
         lines.append(
             f"{case.seed},{_fmt(case.p)},{'PASS' if case.passed else 'FAIL'},"
-            f"{_fmt(case.max_violation)},{_fmt(case.horizon_time)}"
+            f"{_fmt(case.max_violation)},{_fmt(case.horizon_time)},"
+            f"{case.picard_status.value},{case.compare_node}"
         )
     _emit("\n".join(lines) + "\n", out_path)
     print(f"{cases - n_failed}/{cases} cases passed", file=sys.stderr)

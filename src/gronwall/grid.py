@@ -164,12 +164,17 @@ def cumulative_trapezoid(f: GridFunction) -> GridFunction:
     out[0] = 0 and out[j] = out[j-1] + dt*(f[j-1]+f[j])/2; exact for
     integrands that are piecewise linear on the grid.
     """
-    v = f.values
-    out = np.empty_like(v)
+    return GridFunction(f.grid, _running_trapezoid(f.values, f.grid.dt))
+
+
+def _running_trapezoid(v: np.ndarray, dt: float) -> np.ndarray:
+    """:func:`cumulative_trapezoid` on a raw node array ``v`` with step ``dt``;
+    non-finite entries propagate silently."""
+    out = np.empty(len(v))
     out[0] = 0.0
     with np.errstate(all="ignore"):
-        out[1:] = np.cumsum(f.grid.dt * (v[:-1] + v[1:]) / 2.0)
-    return GridFunction(f.grid, out)
+        out[1:] = np.cumsum(dt * (v[:-1] + v[1:]) / 2.0)
+    return out
 
 
 def running_sup(f: GridFunction) -> GridFunction:

@@ -17,9 +17,11 @@ A separable term is a chain of running sums.  With the pinned slots
 folded into ``t``, ``expr.separate`` writes the kernel as a short sum of
 ``coef * f0(t) f1(x1) ... fd(xd)`` over the integrated slots ``x1..xd``,
 and the nested rule factors exactly into
-``term(w) = sum coef * f0 * cumtrap(f1 * cumtrap(... fd * w))``: each
-factor is sampled once on the grid, and building and applying cost
-O(m * depth * rank) with no O(m^2) array.  The chain is used only when
+``term(w) = sum coef * f0 * cumtrap(f1 * cumtrap(... fd * w))``.  The
+separation does not depend on the grid, so a :class:`Kernel` computes it
+once per ``(n_diag, use_dt)`` and keeps it; each grid then samples every
+factor once, and building and applying cost O(m * depth * rank) with no
+O(m^2) array.  The chain is used only when
 every coefficient and every factor sample is finite and nonnegative, so
 the kernel is nonnegative and finite on the whole grid, and when each
 term's factors multiply to within ``2^(+-SAFE_LOG2)`` (``e^(+-t)``
@@ -47,6 +49,7 @@ right-hand side (``_sum_term_maps``) always uses the dense maps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -61,7 +64,7 @@ from .expr import (
     rename_variables,
     separate,
 )
-from .grid import Grid, GridFunction, cumulative_trapezoid
+from .grid import Grid, GridFunction, _running_trapezoid
 
 __all__ = [
     "Kernel",
@@ -139,6 +142,23 @@ class Kernel:
         """True when d/dt is structurally zero (given as 0, or t never occurs)."""
         return self.dt_body == Num(0.0)
 
+    @cached_property
+    def _plans(self) -> dict:
+        return {}
+
+    def _separated(self, n_diag: int, use_dt: bool = False):
+        """``(slots, expr.separate(...))`` of the term with the first ``n_diag``
+        inner slots pinned to ``t``, or None; computed once per key."""
+        key = (n_diag, use_dt)
+        if key not in self._plans:
+            names = [f"t{i}" for i in range(1, self.arity + 1)]
+            body = self.dt_body if use_dt else self.body
+            body = rename_variables(body, dict.fromkeys(names[:n_diag], "t"))
+            slots = ["t", *names[n_diag:]]
+            terms = separate(body, slots)
+            self._plans[key] = None if terms is None else (slots, terms)
+        return self._plans[key]
+
 
 @dataclass(frozen=True)
 class KernelSet:
@@ -187,12 +207,6 @@ class KernelSet:
             raise KernelError(f"expected a {form!r} kernel set, got {self.form!r}")
 
 
-def _eval_on(e: Expr, ctx: dict) -> np.ndarray:
-    shape = np.broadcast_shapes(*(np.shape(v) for v in ctx.values()))
-    out = np.asarray(expr_mod.evaluate(e, ctx))
-    return np.broadcast_to(out, shape)
-
-
 def _check_body_values(vals: np.ndarray, label: str) -> None:
     finite = np.isfinite(vals)
     if not finite.all():
@@ -215,17 +229,14 @@ class _TermEvaluator:
         self.label = label
         self.vars_used = free_variables(self.expr)
 
-    def eval_vector(self, ctx: dict) -> np.ndarray:
-        vals = _eval_on(self.expr, ctx)
-        if not self.use_dt:
-            _check_body_values(vals, self.label)
-        return vals
-
-    def eval_matrix(self, ctx: dict) -> np.ndarray:
-        # The quadrature only touches the simplex part (inner <= outer);
-        # zero the strict upper triangle so unused entries (possibly NaN
-        # for kernels like sqrt(t-s)) cannot leak into the sums.
-        vals = np.tril(_eval_on(self.expr, ctx))
+    def values(self, ctx: dict) -> np.ndarray:
+        """Samples on the broadcast shape of ``ctx``.  A matrix keeps only the
+        simplex part (inner <= outer), so unused entries (possibly NaN for
+        kernels like sqrt(t-s)) cannot leak into the sums."""
+        shape = np.broadcast_shapes(*(np.shape(v) for v in ctx.values()))
+        vals = np.broadcast_to(np.asarray(expr_mod.evaluate(self.expr, ctx)), shape)
+        if len(shape) == 2:
+            vals = np.tril(vals)
         if not self.use_dt:
             _check_body_values(vals, self.label)
         return vals
@@ -244,7 +255,7 @@ class _TermMap(NamedTuple):
     def apply(self, w: np.ndarray, g: Grid) -> np.ndarray:
         out = self.inner * w if self.inner.ndim == 1 else self.inner @ w
         if self.cumulative:
-            out = cumulative_trapezoid(GridFunction(g, out)).values
+            out = _running_trapezoid(out, g.dt)
         return out
 
 
@@ -279,7 +290,7 @@ def _nested_rows(
     if len(ints) == 1:
         col = T[:, None]
         ctx = {**fixed, **{name: col for name in outer}, ints[0]: T[None, :]}
-        return _trapezoid_rows(ev.eval_matrix(ctx), g.dt)
+        return _trapezoid_rows(ev.values(ctx), g.dt)
     rows = np.zeros((n, n))
     for x in range(1, n):
         at = {**fixed, **{name: T[x] for name in outer}}
@@ -299,13 +310,13 @@ def _term_map(
     names = [f"t{i}" for i in range(1, k.arity + 1)]
     pinned, ints = ["t", *names[:n_diag]], names[n_diag:]
     if not ints:
-        return _TermMap(ev.eval_vector({name: T for name in pinned}), False)
+        return _TermMap(ev.values({name: T for name in pinned}), False)
     if ev.vars_used & set(pinned):
         return _TermMap(_nested_rows(ev, g, pinned, ints, {}, g.m + 1), False)
     # The outermost integral then depends on the outer node only through
     # its upper limit: it is a running sum over ints[0].
     if len(ints) == 1:
-        return _TermMap(ev.eval_vector({ints[0]: T}), True)
+        return _TermMap(ev.values({ints[0]: T}), True)
     return _TermMap(_nested_rows(ev, g, ints[:1], ints[1:], {}, g.m + 1), True)
 
 
@@ -326,49 +337,41 @@ def _sum_term_maps(terms, g: Grid) -> tuple:
 
 
 class _Chain(NamedTuple):
-    """A separable kernel term: ``(coef, [f0, f1, ..., fd])`` per rank-one
-    part, each factor sampled on the grid (see the module docstring)."""
+    """A separable kernel term: ``(coef, F)`` per rank-one part, row ``i`` of
+    ``F`` slot ``i``'s factor sampled on the grid (see the module docstring)."""
 
     terms: list
 
     def apply(self, w: np.ndarray, g: Grid) -> np.ndarray:
         out = np.zeros(g.m + 1)
         with np.errstate(all="ignore"):
-            for coef, (f0, *inner) in self.terms:
+            for coef, fs in self.terms:
                 v = w
-                for f in reversed(inner):
-                    v = cumulative_trapezoid(GridFunction(g, f * v)).values
-                out += coef * (f0 * v)
+                for f in fs[:0:-1]:
+                    v = _running_trapezoid(f * v, g.dt)
+                out += coef * (fs[0] * v)
         return out
-
-
-def _log2_span(f: np.ndarray) -> float:
-    """Largest |log2| of the nonzero entries of ``f`` (``f >= 0``)."""
-    pos = f[f > 0]
-    if not pos.size:
-        return 0.0
-    return float(max(abs(np.log2(pos.min())), abs(np.log2(pos.max()))))
 
 
 def _chain(k: Kernel, g: Grid, n_diag: int, use_dt: bool = False) -> _Chain | None:
     """The running-sum form of a kernel term, or None when the kernel does
     not separate into nonnegative factors within the safe range."""
-    names = [f"t{i}" for i in range(1, k.arity + 1)]
-    body = k.dt_body if use_dt else k.body
-    body = rename_variables(body, dict.fromkeys(names[:n_diag], "t"))
-    slots = ["t", *names[n_diag:]]
-    terms = separate(body, slots)
-    if terms is None:
+    plan = k._separated(n_diag, use_dt)
+    if plan is None:
         return None
+    slots, terms = plan
     T = g.nodes
     sampled = []
     for coef, factors in terms:
         if not 0.0 <= coef < np.inf:
             return None
-        fs = [_eval_on(factors[v], {v: T}) for v in slots]
-        if not all(np.isfinite(f).all() and (f >= 0).all() for f in fs):
+        fs = np.empty((len(slots), g.m + 1))
+        for i, v in enumerate(slots):
+            fs[i] = expr_mod.evaluate(factors[v], {v: T})
+        if not (np.isfinite(fs).all() and (fs >= 0).all()):
             return None
-        span = sum(map(_log2_span, fs)) + (abs(np.log2(coef)) if coef > 0 else 0.0)
+        logs = np.abs(np.log2(fs, out=np.zeros_like(fs), where=fs > 0))
+        span = logs.max(axis=1).sum() + (abs(np.log2(coef)) if coef > 0 else 0.0)
         if span > SAFE_LOG2:
             return None
         sampled.append((coef, fs))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundResult, HypothesisError, ProblemInstance, compute_bound
-from .grid import Grid, GridFunction, cumulative_trapezoid
+from .grid import Grid, GridFunction, _running_trapezoid
 from .kernels import Kernel, KernelSet, _sum_term_maps, _TermMap
 
 __all__ = [
@@ -125,7 +125,7 @@ class DiscreteRhs:
                 b = 1.0 if inst.b is None else inst.b.values
                 return b * (inst.a_const + acc)
             # cumulative forms: datum + int_a^t (b w + int k w + int int h w)
-            acc = cumulative_trapezoid(GridFunction(g, inst.b.values * w + acc)).values
+            acc = _running_trapezoid(inst.b.values * w + acc, g.dt)
         if t == "thm23":
             return inst.sigma.values * (inst.a_const + acc)
         return inst.a_values + acc

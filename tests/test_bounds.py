@@ -31,20 +31,20 @@ from gronwall.oracle import _SUITE_P, picard_extremal, random_instance
 class TestDetectHorizon:
     def test_linear_crossing(self):
         g = Grid(0, 2, 4)
-        node, time, kind = detect_horizon(GridFunction(g, g.nodes), "p_blow_up")
-        assert node == 1
-        assert time == pytest.approx(1.0)
-        assert kind is HorizonKind.P_BLOW_UP
+        node, time, kind = detect_horizon(GridFunction(g, 1.25 - g.nodes))
+        assert node == 2
+        assert time == pytest.approx(1.25)
+        assert kind is HorizonKind.Q_POSITIVITY
 
     def test_never_crossing(self):
         g = Grid(0, 1, 4)
-        node, time, kind = detect_horizon(constant(0.5, g), "p_blow_up")
+        node, time, kind = detect_horizon(constant(0.5, g))
         assert (node, time, kind) == (4, 1.0, HorizonKind.FULL)
 
     def test_threshold_node_excluded(self):
         g = Grid(0, 1, 2)
         bracket = GridFunction(g, [0.5, 0.2, 0.0])
-        node, time, kind = detect_horizon(bracket, "q_positivity")
+        node, time, kind = detect_horizon(bracket)
         assert node == 1
         assert time == pytest.approx(1.0)
         assert kind is HorizonKind.Q_POSITIVITY
@@ -52,12 +52,12 @@ class TestDetectHorizon:
     def test_invalid_at_node_zero(self):
         g = Grid(0, 1, 2)
         with pytest.raises(HypothesisError, match="node 0"):
-            detect_horizon(GridFunction(g, [-0.1, 1.0, 2.0]), "q_positivity")
+            detect_horizon(GridFunction(g, [-0.1, 1.0, 2.0]))
 
     def test_nonfinite_entry_cuts(self):
         g = Grid(0, 1, 4)
         bracket = GridFunction(g, [1.0, 0.5, np.nan, 0.5, 0.5])
-        node, time, _ = detect_horizon(bracket, "q_positivity")
+        node, time, _ = detect_horizon(bracket)
         assert node == 1
         assert time == pytest.approx(g.nodes[2])
 

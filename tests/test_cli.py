@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -6,8 +7,11 @@ import warnings
 
 import pytest
 
-from gronwall import cli
+from gronwall import cli, kernels
+from gronwall.bounds import compute_bound
 from gronwall.cli import ConfigError, load_config
+from gronwall.expr import separate
+from gronwall.grid import Grid
 
 RICCATI_CONFIG = """\
 # Riccati certification scenario
@@ -176,7 +180,10 @@ class TestCommands:
         assert rc1 == rc2 == 0
         assert out1.read_bytes() == out2.read_bytes()
         header, rows = read_rows(out1)
-        assert header == ["seed", "p", "pass", "max_violation", "horizon_time"]
+        assert header == [
+            "seed", "p", "pass", "max_violation", "horizon_time", "picard_status",
+            "compare_node",
+        ]
         assert len(rows) == 5
         assert [r[0] for r in rows] == [str(7 + i) for i in range(5)]
 
@@ -189,6 +196,14 @@ class TestCommands:
         assert out1.read_bytes() == out2.read_bytes()
         _, rows = read_rows(out1)
         assert rows[0][0] == "9"
+
+    def test_suite_shows_a_pass_over_node_zero_alone(self, tmp_path):
+        cfg = write(tmp_path, "s.cfg", "[problem]\ntheorem = thm32\n")
+        out = tmp_path / "a.csv"
+        cli.main(["suite", "--config", cfg, "--out", str(out), "--seed", "46", "--cases", "1"])
+        _, rows = read_rows(out)
+        assert rows[0][2] == "PASS"
+        assert rows[0][-2:] == ["diverged", "0"]
 
     def test_suite_rejects_non_family_theorem(self, tmp_path):
         text = "[problem]\ntheorem = thm24\nk1_expr = 1\n"
@@ -229,6 +244,62 @@ class TestCommands:
         lines = proc.stdout.splitlines()
         assert lines[0] == "t,bound"
         assert len(lines) == 10
+
+
+CUT_CONFIG = (
+    "[problem]\ntheorem = thm32\np = 2\nalpha = 0\nbeta = 1\na = 1\n"
+    "b_expr = exp(t)\nk_expr = exp(-(t-s))\n[grid]\nm = 32\n"
+)
+FULL_CONFIG = CUT_CONFIG.replace("p = 2", "p = 0.5")
+
+
+def reference_convergence_csv(cfg, levels):
+    """`convergence`'s CSV, comparing the levels one node at a time."""
+    results = [
+        compute_bound(dataclasses.replace(cfg, m=cfg.m * 2**i).build_instance())
+        for i in range(levels)
+    ]
+    t_cut = min(r.horizon_time for r in results)
+    if any(not r.full for r in results):
+        t_cut = cfg.alpha + cli.HORIZON_GUARD * (t_cut - cfg.alpha)
+    diffs = []
+    for i, (coarse, fine) in enumerate(zip(results, results[1:])):
+        T = Grid(cfg.alpha, cfg.beta, cfg.m * 2**i).nodes
+        n = min(coarse.horizon_node, fine.horizon_node // 2)
+        diffs.append(max(
+            abs(coarse.bound.values[j] - fine.bound.values[2 * j])
+            for j in range(n + 1) if T[j] <= t_cut
+        ))
+    lines = ["m,max_diff,ratio"]
+    for i, d in enumerate(diffs):
+        ratio = format(d / diffs[i + 1], ".17g") if i + 1 < len(diffs) and diffs[i + 1] else ""
+        lines.append(f"{cfg.m * 2**i},{format(d, '.17g')},{ratio}")
+    return "\n".join(lines) + "\n", results
+
+
+class TestConvergence:
+    @pytest.mark.parametrize("text, full", [(CUT_CONFIG, False), (FULL_CONFIG, True)],
+                             ids=["cut", "full"])
+    def test_matches_the_per_node_reference(self, tmp_path, capsys, text, full):
+        cfg = write(tmp_path, "c.cfg", text)
+        want, results = reference_convergence_csv(load_config(cfg), 4)
+        assert all(r.full for r in results) is full
+        assert cli.main(["convergence", "--config", cfg, "--levels", "4"]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_separates_each_kernel_term_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(body, slots):
+            calls.append((body, tuple(slots)))
+            return separate(body, slots)
+
+        monkeypatch.setattr(kernels, "separate", counting)
+        text = COR35_CONFIG.replace("(t-s)^1.5", "exp(t-s)\nh_expr = t^2*(1 + r)")
+        cfg = write(tmp_path, "c.cfg", text.replace("m = 64", "m = 16"))
+        assert cli.main(["convergence", "--config", cfg, "--levels", "3"]) == 0
+        # k and h, each pinned (R) and differentiated (Q).
+        assert len(calls) == len(set(calls)) == 4
 
 
 COR35_CONFIG = """\

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from gronwall.grid import (
     GridError,
     GridFunction,
     NonFiniteSampleError,
+    _running_trapezoid,
     constant,
     cumulative_trapezoid,
     running_sup,
@@ -98,6 +100,16 @@ class TestCumulativeTrapezoid:
         f = gf(g, rng.uniform(0, 5, g.m + 1))
         out = cumulative_trapezoid(f).values
         assert (np.diff(out) >= 0).all()
+
+    def test_raw_helper_matches_bit_for_bit_without_warnings(self):
+        g = Grid(0, 1, 8)
+        v = np.array([1.0, np.inf, 2.0, -np.inf, 3.0, np.nan, 4.0, 1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            raw = _running_trapezoid(v, g.dt)
+            wrapped = cumulative_trapezoid(gf(g, v)).values
+        assert raw.tobytes() == wrapped.tobytes()
+        assert np.isnan(raw[3:]).all() and np.isinf(raw[1:3]).all()
 
     def test_second_order_convergence(self):
         errors = {}
