@@ -25,6 +25,13 @@ Instance hypotheses (nonnegativity, monotonicity, sign of p) are checked
 eagerly when a :class:`ProblemInstance` is built, with tolerance -1e-12
 and the first offending node named; the closed forms are meaningless off
 their hypotheses.
+
+thm24, thm34 and cor35 integrate each kernel's t-derivative through Q, so
+they need k >= 0 and dk/dt >= 0 on the simplex.  Both are checked on the
+samples the bound takes, with the same tolerance: R samples k on the face
+t1 = t and Q samples dk/dt on the whole simplex.  A kernel that decreases
+in t raises :class:`kernels.NegativeKernelError` naming ``d/dt of kernel
+k<i>`` and the node, where the closed form would be no bound at all.
 """
 
 from __future__ import annotations
@@ -428,8 +435,8 @@ def cor35_bound(inst: ProblemInstance) -> BoundResult:
     """Direct-kernel bound [a^q + q int (R + Q)]^(1/q).
 
     This is thm34 with b = 1 on the iterated set (k, h):
-    R(t) = k(t,t) + int_a^t h(t,t,r) dr and Q integrates the kernel
-    t-derivatives (each kernel's ``dt_body``).
+    R(t) = k(t,t) + int_a^t h(t,t,r) dr and Q integrates the kernels'
+    exact t-derivatives, which must be nonnegative.
     """
     _require_theorem(inst, "cor35")
     k, h = inst.kernels.k, inst.kernels.h

@@ -7,17 +7,26 @@ line endings, so identical configs (and seeds) produce bit-identical
 files.  Exit codes: 0 success / verification PASS, 1 verification FAIL,
 2 configuration or hypothesis error, or an oracle run that leaves
 nothing to compare.
+
+A kernel's t-derivative is always the exact derivative of its expression.
+The ``k_dt_expr``, ``h_dt_expr`` and ``k<i>_dt_expr`` keys are kept only
+because the benchmark's configs carry them: each is checked against the
+exact derivative on a fixed lattice of simplex points in [alpha, beta]
+(a disagreement is a config error) and never used.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import HypothesisError, ProblemInstance, THEOREMS, compute_bound
-from .expr import Expr, ExprError, parse
+from .expr import Expr, ExprError, evaluate, parse, to_source
 from .grid import Grid, GridError, sample
 from .kernels import Kernel, KernelError, KernelSet
 from .oracle import (
@@ -59,6 +68,13 @@ DEFAULT_SUITE_SEED = 42
 # absorbs that noise at desk-scale grids; the raw strict-dominance
 # violation is still printed in the summary.
 VERIFY_RTOL = 1e-3
+
+# A given *_dt_expr must match the exact derivative at every ordered point
+# (t >= t1 >= ...) of DT_CHECK_NODES equally spaced nodes per axis of
+# [alpha, beta], within DT_CHECK_RTOL of the exact value; two non-finite
+# values agree.
+DT_CHECK_NODES = 7
+DT_CHECK_RTOL = 1e-9
 
 # Richardson comparisons stop 10% short of the shared horizon: next to a
 # blow-up the bound is steep enough that node-level differences between
@@ -134,17 +150,54 @@ def _take_expr(entries: dict, key: str, variables) -> Expr | None:
         raise ConfigError(f"{key}: {err}", lineno) from None
 
 
-def _take_kernel(entries: dict, arity: int, key: str, dt_key: str) -> Kernel | None:
+def _take_kernel(
+    entries: dict, arity: int, key: str, dt_key: str, interval: tuple
+) -> Kernel | None:
     if dt_key in entries and key not in entries:
         raise ConfigError(f"{dt_key} given without {key}", entries[dt_key][1])
     if key not in entries:
         return None
     body, lineno = entries[key]
-    dt = entries[dt_key][0] if dt_key in entries else None
     try:
-        return Kernel(arity, body, dt_body=dt)
+        kernel = Kernel(arity, body)
     except (ExprError, KernelError) as err:
         raise ConfigError(f"{key}: {err}", lineno) from None
+    if dt_key in entries:
+        _check_given_dt(kernel, key, entries[dt_key], dt_key, interval)
+    return kernel
+
+
+def _check_given_dt(
+    kernel: Kernel, key: str, entry: tuple, dt_key: str, interval: tuple
+) -> None:
+    """Raise :class:`ConfigError` unless the given derivative ``entry``
+    agrees with ``kernel.dt_body`` on the lattice described at
+    ``DT_CHECK_NODES``."""
+    source, lineno = entry
+    try:
+        given = Kernel(kernel.arity, source).body
+    except (ExprError, KernelError) as err:
+        raise ConfigError(f"{dt_key}: {err}", lineno) from None
+    if None in interval:
+        raise ConfigError(f"{dt_key} is checked on [alpha, beta]; give both", lineno)
+    names = ["t", *(f"t{i}" for i in range(1, kernel.arity + 1))]
+    nodes = np.linspace(*interval, DT_CHECK_NODES)[::-1]
+    points = np.array(list(itertools.combinations_with_replacement(nodes, len(names))))
+    ctx = dict(zip(names, points.T))
+    want, got = (
+        np.broadcast_to(evaluate(e, ctx), len(points)) for e in (kernel.dt_body, given)
+    )
+    agree = np.isclose(got, want, rtol=DT_CHECK_RTOL, atol=0.0)
+    agree |= ~(np.isfinite(got) | np.isfinite(want))
+    if not agree.all():
+        j = int(np.argmin(agree))
+        at = ", ".join(f"{n}={x:.6g}" for n, x in zip(names, points[j]))
+        raise ConfigError(
+            f"{dt_key} disagrees with d/dt of {key}, which is "
+            f"{to_source(kernel.dt_body)}, at {at}: {got[j]:.6g} given, "
+            f"{want[j]:.6g} exact",
+            lineno,
+        )
 
 
 @dataclass(eq=False)
@@ -256,19 +309,20 @@ def load_config(path: str) -> ScenarioConfig:
 
     tol = _take_float(data["oracle"], "tol")
     max_iter = _take_int(data["oracle"], "max_iter")
+    interval = (_take_float(problem, "alpha"), _take_float(problem, "beta"))
     cfg = ScenarioConfig(
         theorem=theorem,
         p=_take_float(problem, "p"),
-        alpha=_take_float(problem, "alpha"),
-        beta=_take_float(problem, "beta"),
+        alpha=interval[0],
+        beta=interval[1],
         a_const=_take_float(problem, "a"),
         a_expr=_take_expr(problem, "a_expr", {"t"}),
         b_expr=_take_expr(problem, "b_expr", {"t"}),
         sigma_expr=_take_expr(problem, "sigma_expr", {"t"}),
-        pair_k=_take_kernel(problem, 1, "k_expr", "k_dt_expr"),
-        pair_h=_take_kernel(problem, 2, "h_expr", "h_dt_expr"),
+        pair_k=_take_kernel(problem, 1, "k_expr", "k_dt_expr", interval),
+        pair_h=_take_kernel(problem, 2, "h_expr", "h_dt_expr", interval),
         iterated=tuple(
-            _take_kernel(problem, i, f"k{i}_expr", f"k{i}_dt_expr")
+            _take_kernel(problem, i, f"k{i}_expr", f"k{i}_dt_expr", interval)
             for i in iterated_present
         ),
         m=_take_int(data["grid"], "m"),

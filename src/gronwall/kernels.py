@@ -5,7 +5,8 @@ outer time ``t`` and ``i`` inner variables; integrals run over the ordered
 simplex ``alpha <= ti <= ... <= t1 <= t``.  The two-variable kernel
 ``k(t, s)`` has arity 1 (``s`` aliases ``t1``) and the three-variable
 kernel ``h(t, s, r)`` has arity 2.  Every kernel carries its exact
-t-derivative as a second expression, integrated like the body.
+t-derivative (``expr.derivative``) as a second expression, integrated and
+checked like the body.
 
 All quadrature is nested composite trapezoid on the shared grid, with
 inner integrals over fewer than two nodes evaluating to zero.  A kernel
@@ -40,10 +41,12 @@ of three shapes:
   matrix costing O(m^depth) to build otherwise.
 
 Applying a dense map costs O(m) or one O(m^2) mat-vec.  The dense path
-checks the kernel's samples: they must be finite and nonnegative
-(tolerance -1e-12), and violations raise :class:`KernelError` or
-:class:`NegativeKernelError` naming the node.  The Picard oracle's
-right-hand side (``_sum_term_maps``) always uses the dense maps.
+checks the samples of the body and of the t-derivative alike: they must be
+finite and nonnegative (tolerance -1e-12), and violations raise
+:class:`KernelError` or :class:`NegativeKernelError` naming the kernel and
+the node.  So every sample that ``apply_Q`` integrates is checked, on one
+path or the other.  The Picard oracle's right-hand side
+(``_sum_term_maps``) always uses the dense maps.
 """
 
 from __future__ import annotations
@@ -112,26 +115,22 @@ def _canonical(e: Expr | str, arity: int, what: str) -> Expr:
 class Kernel:
     """Arity-tagged kernel expression and its t-derivative.
 
-    ``body`` and ``dt_body`` may be given as source strings; the aliases
-    ``s`` (for ``t1``) and ``r`` (for ``t2``) are normalized away.  An
-    absent ``dt_body`` is the exact derivative of ``body`` in ``t``; a
-    given one overrides it.
+    ``body`` may be given as a source string; the aliases ``s`` (for
+    ``t1``) and ``r`` (for ``t2``) are normalized away.  ``dt_body`` is the
+    exact derivative of ``body`` in ``t``.
     """
 
     arity: int
     body: Expr
-    dt_body: Expr | None = None
 
     def __post_init__(self):
         if self.arity < 1:
             raise KernelError(f"kernel arity must be >= 1, got {self.arity}")
-        body = _canonical(self.body, self.arity, "body")
-        if self.dt_body is None:
-            dt_body = derivative(body, "t")
-        else:
-            dt_body = _canonical(self.dt_body, self.arity, "dt expression")
-        object.__setattr__(self, "body", body)
-        object.__setattr__(self, "dt_body", dt_body)
+        object.__setattr__(self, "body", _canonical(self.body, self.arity, "body"))
+
+    @cached_property
+    def dt_body(self) -> Expr:
+        return derivative(self.body, "t")
 
     @property
     def is_zero(self) -> bool:
@@ -139,7 +138,7 @@ class Kernel:
 
     @property
     def dt_is_zero(self) -> bool:
-        """True when d/dt is structurally zero (given as 0, or t never occurs)."""
+        """True when d/dt is structurally zero (t never occurs in the body)."""
         return self.dt_body == Num(0.0)
 
     @cached_property
@@ -207,19 +206,6 @@ class KernelSet:
             raise KernelError(f"expected a {form!r} kernel set, got {self.form!r}")
 
 
-def _check_body_values(vals: np.ndarray, label: str) -> None:
-    finite = np.isfinite(vals)
-    if not finite.all():
-        idx = tuple(int(i) for i in np.argwhere(~finite)[0])
-        raise KernelError(f"kernel {label} is non-finite at node index {idx}")
-    bad = vals < NONNEG_TOL
-    if bad.any():
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise NegativeKernelError(
-            f"kernel {label} is negative ({vals[idx]:.6e}) at node index {idx}"
-        )
-
-
 class _TermEvaluator:
     """Evaluates a kernel body (or its t-derivative) on broadcast node arrays."""
 
@@ -229,17 +215,32 @@ class _TermEvaluator:
         self.label = label
         self.vars_used = free_variables(self.expr)
 
-    def values(self, ctx: dict) -> np.ndarray:
-        """Samples on the broadcast shape of ``ctx``.  A matrix keeps only the
-        simplex part (inner <= outer), so unused entries (possibly NaN for
-        kernels like sqrt(t-s)) cannot leak into the sums."""
+    def values(self, ctx: dict, node: int | None = None) -> np.ndarray:
+        """Samples on the broadcast shape of ``ctx``, checked finite and
+        nonnegative.  A matrix keeps only the simplex part (inner <= outer),
+        so unused entries (possibly NaN for kernels like sqrt(t-s)) cannot
+        leak into the sums.  ``node`` is the outer node a nested sample
+        belongs to; a derivative error names it (else the sample's row)."""
         shape = np.broadcast_shapes(*(np.shape(v) for v in ctx.values()))
         vals = np.broadcast_to(np.asarray(expr_mod.evaluate(self.expr, ctx)), shape)
         if len(shape) == 2:
             vals = np.tril(vals)
-        if not self.use_dt:
-            _check_body_values(vals, self.label)
+        self._check(vals, node)
         return vals
+
+    def _check(self, vals: np.ndarray, node: int | None) -> None:
+        finite = bool(np.isfinite(vals).all())
+        bad = ~np.isfinite(vals) if not finite else vals < NONNEG_TOL
+        if not bad.any():
+            return
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        what = "non-finite" if not finite else f"negative ({vals[idx]:.6e})"
+        if self.use_dt:
+            at = idx[0] if node is None else node
+            msg = f"d/dt of kernel {self.label} is {what} at node {at}"
+        else:
+            msg = f"kernel {self.label} is {what} at node index {idx}"
+        raise (KernelError if not finite else NegativeKernelError)(msg)
 
 
 class _TermMap(NamedTuple):
@@ -276,7 +277,13 @@ def _trapezoid_rows(vals: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _nested_rows(
-    ev: _TermEvaluator, g: Grid, outer: list, ints: list, fixed: dict, n: int
+    ev: _TermEvaluator,
+    g: Grid,
+    outer: list,
+    ints: list,
+    fixed: dict,
+    n: int,
+    node: int | None = None,
 ) -> np.ndarray:
     """Weights of the nested trapezoid rule for the outer nodes ``x < n``.
 
@@ -284,19 +291,21 @@ def _nested_rows(
     kernel over ``T[x] >= ints[0] >= ... >= ints[-1]``, with the ``outer``
     slots at ``T[x]``, the slots in ``fixed`` held and ``w`` at the
     innermost slot.  The last two variables are sampled as one matrix;
-    deeper levels recurse one node at a time.
+    deeper levels recurse one node at a time, passing down the top-level
+    row as ``node``.
     """
     T = g.nodes[:n]
     if len(ints) == 1:
         col = T[:, None]
         ctx = {**fixed, **{name: col for name in outer}, ints[0]: T[None, :]}
-        return _trapezoid_rows(ev.values(ctx), g.dt)
+        return _trapezoid_rows(ev.values(ctx, node), g.dt)
     rows = np.zeros((n, n))
     for x in range(1, n):
         at = {**fixed, **{name: T[x] for name in outer}}
         weights = np.full(x + 1, g.dt)
         weights[[0, x]] = g.dt / 2.0
-        rows[x, : x + 1] = weights @ _nested_rows(ev, g, ints[:1], ints[1:], at, x + 1)
+        inner = _nested_rows(ev, g, ints[:1], ints[1:], at, x + 1, x if node is None else node)
+        rows[x, : x + 1] = weights @ inner
     return rows
 
 
@@ -449,8 +458,10 @@ def apply_R(ks: KernelSet, w: GridFunction, g: Grid) -> GridFunction:
 def apply_Q(ks: KernelSet, w: GridFunction, g: Grid) -> GridFunction:
     """The functional Q[w](t): as R but with dk_i/dt and integrals from t1.
 
-    Each term integrates the kernel's ``dt_body`` (its exact t-derivative
-    unless one was given); a non-finite term names the kernel and node.
+    Each term integrates the kernel's ``dt_body``, its exact t-derivative.
+    The bounds that use Q need dk_i/dt >= 0 on the simplex: a negative or
+    non-finite sample raises :class:`NegativeKernelError` or
+    :class:`KernelError` naming ``d/dt of kernel k<i>`` and the outer node.
     A ``dt_body`` that separates into nonnegative factors costs
     O(m * i * rank); otherwise k_i costs O(m^(i+1)).
     """
@@ -460,11 +471,7 @@ def apply_Q(ks: KernelSet, w: GridFunction, g: Grid) -> GridFunction:
     for i, k in enumerate(ks.kernels, start=1):
         if k.dt_is_zero or k.is_zero:
             continue
-        term = _simplex_term(k, w.values, g, n_diag=0, use_dt=True, label=f"k{i}")
-        if not np.isfinite(term).all():
-            j = int(np.argmin(np.isfinite(term)))
-            raise KernelError(f"d/dt of kernel k{i} is non-finite at node {j}")
-        out += term
+        out += _simplex_term(k, w.values, g, n_diag=0, use_dt=True, label=f"k{i}")
     return GridFunction(g, out)
 
 

@@ -294,12 +294,12 @@ def _assert_identical(br1, br2, inst1, inst2):
 class TestReductionChains:
     @pytest.mark.parametrize("p", [0.5, 2.0])
     def test_thm34_matches_cor35(self, p):
-        k1 = Kernel(1, "t-t1", dt_body="1")
-        k2 = Kernel(2, "0.1", dt_body="0")
+        k1 = Kernel(1, "t-t1")
+        k2 = Kernel(2, "0.1")
         i34 = make_instance("thm34", p, 0, 1, 512, a=1.0, b_expr="1", ks=[k1, k2])
         i35 = make_instance(
             "cor35", p, 0, 1, 512, a=1.0,
-            k=Kernel(1, "t-s", dt_body="1"), h=Kernel(2, "0.1", dt_body="0"),
+            k=Kernel(1, "t-s"), h=Kernel(2, "0.1"),
         )
         b34, b35 = thm34_bound(i34), cor35_bound(i35)
         assert b34.horizon_node == b35.horizon_node

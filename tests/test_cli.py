@@ -137,12 +137,16 @@ class TestCommands:
         for r in rows:
             assert float(r[3]) == pytest.approx(float(r[1]) - float(r[2]), abs=1e-12)
 
-    def test_verify_fail_exit_code(self, tmp_path, capsys):
-        # decaying kernel: its t-derivative is negative, the hypothesis the
-        # closed form needs fails, and the extremal genuinely escapes it
+    def test_verify_fail_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a bound halved below the extremal: the extremal genuinely escapes it
+        def halved(inst):
+            br = compute_bound(inst)
+            return dataclasses.replace(br, bound=0.5 * br.bound)
+
+        monkeypatch.setattr(cli, "compute_bound", halved)
         text = (
             "[problem]\ntheorem = cor35\np = 2\nalpha = 0\nbeta = 0.5\na = 1\n"
-            "k_expr = exp(-(t-s))\n[grid]\nm = 256\n"
+            "k_expr = exp(t-s)\n[grid]\nm = 256\n"
         )
         cfg = write(tmp_path, "fail.cfg", text)
         assert cli.main(["verify", "--config", cfg]) == 1
@@ -392,3 +396,70 @@ class TestExitCodes:
         text = RICCATI_CONFIG.replace("b_expr = 1", "b_expr = 1/(0.5-t)")
         cfg = write(tmp_path, "bad.cfg", text)
         assert cli.main(["bound", "--config", cfg]) == 2
+
+
+# Kernels that decrease in t: the bounds that integrate dk/dt through Q
+# (cor35, thm34, thm24) do not hold for them, and the extremal exceeds
+# what the closed form would print.
+DECREASING_CONFIGS = {
+    "cor35": "theorem = cor35\np = 2\nalpha = 0\nbeta = 1\na = 1\n"
+             "k_expr = exp(-(t-s))\n",
+    "cor35-beta-0.5": "theorem = cor35\np = 2\nalpha = 0\nbeta = 0.5\na = 1\n"
+                      "k_expr = exp(-(t-s))\n",
+    "thm34": "theorem = thm34\np = 2\nalpha = 0\nbeta = 1\na = 1\nb_expr = 1\n"
+             "k1_expr = exp(-(t-s))\n",
+    "thm24": "theorem = thm24\np = 2\nalpha = 0\nbeta = 1\na = 0.5\nb_expr = 1\n"
+             "k1_expr = 2*exp(-3*(t-s))\n",
+}
+
+
+class TestDerivativeHypothesis:
+    @pytest.mark.parametrize("command", ["bound", "verify"])
+    @pytest.mark.parametrize("name", sorted(DECREASING_CONFIGS))
+    def test_decreasing_kernel_exit_2(self, tmp_path, capsys, name, command):
+        text = "[problem]\n" + DECREASING_CONFIGS[name] + "[grid]\nm = 256\n"
+        cfg = write(tmp_path, "dec.cfg", text)
+        out = tmp_path / "out.csv"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: d/dt of kernel k1 is negative (") and err.count("\n") == 1
+        assert err.rstrip().endswith("at node 0")
+        assert not out.exists()
+
+    def test_wrong_given_derivative_is_a_config_error(self, tmp_path, capsys):
+        text = COR35_CONFIG.replace("k_expr = (t-s)^1.5", "k_expr = t*s\nk_dt_expr = 0")
+        cfg = write(tmp_path, "dt.cfg", text)
+        with pytest.raises(ConfigError, match=r"^line 8: k_dt_expr disagrees") as err:
+            load_config(cfg)
+        assert err.value.line == 8
+        assert cli.main(["bound", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 8: k_dt_expr") and err.count("\n") == 1
+
+    def test_given_derivative_keys_change_no_output(self, tmp_path):
+        # the refine workload's cor35 config, coefficients drawn once
+        body = (
+            "[problem]\ntheorem = cor35\np = 3.0\nalpha = 0\nbeta = 1.0\n"
+            "a = 0.6163206707716656\n"
+            "k_expr = (0.3069389542290862)*exp(t-s)\n{k_dt}"
+            "h_expr = (0.2593087236640461)*t^2*(1 + r)\n{h_dt}"
+            "\n[grid]\nm = 256\n"
+        )
+        given = body.format(
+            k_dt="k_dt_expr = (0.3069389542290862)*exp(t-s)\n",
+            h_dt="h_dt_expr = 2*(0.2593087236640461)*t*(1 + r)\n",
+        )
+        csv = []
+        for name, text in (("given", given), ("derived", body.format(k_dt="", h_dt=""))):
+            out = tmp_path / f"{name}.csv"
+            assert cli.main(["bound", "--config", write(tmp_path, name, text),
+                             "--out", str(out)]) == 0
+            csv.append(out.read_bytes())
+        assert csv[0] == csv[1] and len(csv[0].splitlines()) > 2
+
+    @pytest.mark.parametrize("dt_line", ["k_dt_expr = exp(t-s\n", "k_dt_expr = t2\n"],
+                             ids=["syntax", "variable"])
+    def test_malformed_given_derivative_names_its_key(self, tmp_path, dt_line):
+        text = COR35_CONFIG.replace("k_expr = (t-s)^1.5", "k_expr = exp(t-s)\n" + dt_line)
+        with pytest.raises(ConfigError, match="^line 8: k_dt_expr: "):
+            load_config(write(tmp_path, "dt.cfg", text))

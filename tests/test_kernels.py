@@ -49,13 +49,14 @@ class TestKernelType:
 
     def test_dt_flags(self):
         assert Kernel(1, "t1").dt_is_zero          # no t anywhere
-        assert Kernel(1, "t*t1", dt_body="0").dt_is_zero
         assert not Kernel(1, "t*t1").dt_is_zero
 
     def test_dt_body_derived_unless_given(self):
+        # the derivative is always derived; giving one is refused
         assert Kernel(1, "t*s").dt_body == parse("t1", {"t1"})
         assert Kernel(2, "exp(t - r)").dt_body == parse("exp(t - t2)", {"t", "t2"})
-        assert Kernel(1, "t*s", dt_body="2*s").dt_body == parse("2*t1", {"t1"})
+        with pytest.raises(TypeError):
+            Kernel(1, "t*s", dt_body="2*s")
 
     def test_set_pair_arities(self):
         KernelSet.pair(Kernel(1, "1"), Kernel(2, "1"))
@@ -188,12 +189,37 @@ class TestApplyQ:
         assert np.allclose(out.values, g.nodes, atol=1e-10)
 
     def test_fd_matches_exact_dt(self):
+        # d/dt (t*t1) = t1, so Q[1](t) = int_0^t t1 dt1 = t^2/2 on the nodes
         g = Grid(0, 1, 64)
-        fd = apply_Q(KernelSet.iterated([Kernel(1, "t*t1")]), constant(1.0, g), g)
-        exact = apply_Q(
-            KernelSet.iterated([Kernel(1, "t*t1", dt_body="t1")]), constant(1.0, g), g
-        )
-        assert np.abs(fd.values - exact.values).max() <= 1e-8
+        out = apply_Q(KernelSet.iterated([Kernel(1, "t*t1")]), constant(1.0, g), g)
+        assert np.abs(out.values - g.nodes**2 / 2).max() <= 1e-15
+
+    def test_decreasing_kernel_with_separable_derivative_rejected(self):
+        # d/dt exp(-(t-s)) = -exp(-(t-s)) separates with coefficient -1, so
+        # the chain refuses it and the dense path names the sample
+        g = Grid(0, 1, 8)
+        k = Kernel(1, "exp(-(t-s))")
+        _, terms = k._separated(0, use_dt=True)
+        assert [coef for coef, _ in terms] == [-1.0]
+        message = r"^d/dt of kernel k1 is negative \(-1\.000000e\+00\) at node 0$"
+        with pytest.raises(NegativeKernelError, match=message):
+            apply_Q(KernelSet.iterated([k]), constant(1.0, g), g)
+
+    def test_decreasing_kernel_that_does_not_separate_rejected(self):
+        # d/dt 1/(1+t*s) = -s/(1+t*s)^2: zero at s = 0, negative from node 1
+        g = Grid(0, 1, 8)
+        k = Kernel(1, "1/(1+t*s)")
+        assert k._separated(0, use_dt=True) is None
+        with pytest.raises(NegativeKernelError, match=r"^d/dt of kernel k1 is negative .* 1$"):
+            apply_Q(KernelSet.iterated([k]), constant(1.0, g), g)
+
+    def test_nested_derivative_error_names_the_outer_node(self):
+        # d/dt (t - t^2 + t1*t2) = 1 - 2t turns negative past t = 0.5: the
+        # first sample is the inner (0, 0) entry of outer node 5 (t = 0.625)
+        g = Grid(0, 1, 8)
+        ks = KernelSet.iterated([Kernel(1, "1"), Kernel(2, "t - t^2 + t1*t2")])
+        with pytest.raises(NegativeKernelError, match=r"^d/dt of kernel k2 is negative .* 5$"):
+            apply_Q(ks, constant(1.0, g), g)
 
     def test_depth_two_t_dependent(self):
         # dk2/dt of t^2*t1*t2 is 2t*t1*t2; Q[1](t) = t^5/4
@@ -214,7 +240,8 @@ class TestKernelDt:
         assert kernel_dt(Kernel(1, "exp(t)"), (0.0, 0.0)) == pytest.approx(1.0, abs=1e-8)
 
     def test_explicit_dt_wins(self):
-        k = Kernel(1, "t*s", dt_body="s")
+        # exact, with no rounding: d/dt (t*s) is s
+        k = Kernel(1, "t*s")
         assert kernel_dt(k, (2.0, 0.25)) == 0.25
 
     def test_point_length_checked(self):
@@ -277,7 +304,10 @@ VARIANTS = ("t-exact", "t-fd", "t1", "inner")
 
 def variant_kernel(arity, variant):
     body, dt = BODIES[arity][variant.split("-")[0]]
-    return Kernel(arity, body, dt_body=dt if variant == "t-exact" else None)
+    k = Kernel(arity, body)
+    if variant == "t-exact":
+        assert k.dt_body == Kernel(arity, dt).body
+    return k
 
 
 def brute_term(k, w, g, n_diag, use_dt=False, fd=False):
