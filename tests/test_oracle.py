@@ -1,12 +1,18 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_instance
+from gronwall import kernels, oracle
 from gronwall.bounds import BoundResult, HypothesisError, compute_bound, thm32_bound
 from gronwall.grid import Grid, GridFunction, constant
+from gronwall.kernels import KernelError, NegativeKernelError
 from gronwall.oracle import (
+    DiscreteRhs,
     DominanceReport,
     PicardStatus,
     check_admissible,
@@ -82,8 +88,6 @@ class TestPicard:
         assert np.isfinite(out.u.values[: out.conv_node + 1]).all()
 
     def test_monotone_iteration(self):
-        from gronwall.oracle import DiscreteRhs
-
         inst = make_instance(
             "thm32", 2.0, 0, 1, 128, a=0.5, b_expr="0.5+t", k="0.3", h="0.2"
         )
@@ -260,3 +264,137 @@ class TestDominanceRegression:
                 viol = out.u.values[: n + 1] - br.bound.values[: n + 1]
                 slack = 1e-6 * (1.0 + br.bound.values[: n + 1])
                 assert (viol <= slack).all(), (fam, seed, viol.max())
+
+
+# --- the right-hand side on chains of running sums -------------------------
+
+# One-variable factors and separable couplings of the kernels drawn below.
+FACTORS = ("{v}", "{v}^2", "(1 + {v})", "exp({v})", "exp(-{v})")
+COUPLED = ("exp(t - {v})", "exp(-(t - {v}))", "(1 + t*{v})", "(t + {v})", "(1 + {v}*{u})")
+
+
+@st.composite
+def separable_body(draw, arity):
+    """A kernel of the given arity that separates into nonnegative factors
+    on [0, 1]: a sum of one or two products of the factors above."""
+    inner = [f"t{i}" for i in range(1, arity + 1)]
+    products = []
+    for _ in range(draw(st.integers(1, 2))):
+        parts = [repr(draw(st.floats(0.05, 1.0)))]
+        for v in draw(st.lists(st.sampled_from(["t", *inner]), unique=True)):
+            parts.append(draw(st.sampled_from(FACTORS)).format(v=v))
+        if draw(st.booleans()):
+            v, u = draw(st.sampled_from(inner)), draw(st.sampled_from(inner))
+            parts.append(draw(st.sampled_from(COUPLED)).format(v=v, u=u))
+        products.append("*".join(parts))
+    return " + ".join(products)
+
+
+@st.composite
+def separable_instances(draw):
+    """An instance of any theorem, in its pair or iterated form, whose
+    kernels all separate into nonnegative factors."""
+    theorem = draw(st.sampled_from(
+        ("bykov", "thm22", "thm23", "thm24", "thm32", "thm33", "thm34", "cor35")))
+    data = {}
+    if theorem in ("thm24", "thm34"):
+        n = draw(st.integers(1, 4))
+        data["ks"] = [draw(separable_body(i)) for i in range(1, n + 1)]
+    else:
+        data["k"] = draw(separable_body(1))
+        if theorem != "thm23":
+            data["h"] = draw(separable_body(2))
+    if theorem in ("thm22", "thm33"):
+        data["a_expr"] = "0.5 + 0.3*t"
+    elif theorem == "thm24":
+        data["a_expr"] = "0.5*(1 + t)"
+    else:
+        data["a"] = 0.6
+    if theorem != "cor35":
+        data["b_expr"] = "0.4 + 0.2*t"
+    if theorem == "thm23":
+        data["sigma_expr"] = "1 + t"
+    p = {"bykov": 1.0, "thm22": 2.0, "thm23": 3.0, "thm24": 2.0}.get(
+        theorem, draw(st.sampled_from((0.0, 0.5, 2.0, 3.0))))
+    m = draw(st.integers(3, 12))
+    return make_instance(theorem, p, 0, 1, m, **data)
+
+
+class TestChainRhs:
+    @settings(max_examples=200, deadline=None)
+    @given(separable_instances(), st.integers(0, 2**32 - 1))
+    def test_chains_match_the_dense_maps(self, inst, seed):
+        u = np.random.default_rng(seed).uniform(0.0, 2.0, inst.grid.m + 1)
+        op = DiscreteRhs(inst)
+        assert op.chains and op.A is None and op.C is None
+        with mock.patch.object(oracle, "_chain", lambda *args: None):
+            dense_op = DiscreteRhs(inst)
+        assert not dense_op.chains
+        got, dense = op(u), dense_op(u)
+        assert (np.abs(got - dense) <= 1e-13 * (1.0 + np.abs(dense))).all()
+
+    @pytest.mark.parametrize("body,error,what", [
+        ("s - t", NegativeKernelError, "negative"),
+        ("log(s)", KernelError, "non-finite"),
+    ])
+    def test_bad_kernels_raise_the_dense_message(self, body, error, what):
+        inst = make_instance("thm32", 2.0, 0, 1, 16, a=1.0, b_expr="1", k=body)
+        with pytest.raises(error) as dense:
+            kernels._term_map(inst.kernels.k, inst.grid, 0, label="k")
+        with pytest.raises(error) as err:
+            DiscreteRhs(inst)
+        assert str(err.value) == str(dense.value)
+        assert f"kernel k is {what}" in str(err.value)
+
+
+# The iterated families of the benchmark, written out.
+ITERATED_FAMILIES = [
+    ("thm34", 0.5, dict(a=0.55, b_expr="(1 + 0.2*t)^2",
+                        ks=["0.5*(1 + t*t1)", "0.4*(t + t1)*t2", "0.3*t*(t1 + t2)*t3"])),
+    ("thm24", 2.0, dict(a_expr="0.275*(1 + 0.2*t)^2*(1 + 0.45*t)", b_expr="(1 + 0.2*t)^2",
+                        ks=["0.5*(1 + t*t1)", "0.4*(t + t1)*t2", "0.3*t*(t1 + t2)*t3"])),
+    ("thm34", 0.5, dict(a=0.55, b_expr="(1 + 0.2*t)^2",
+                        ks=["0.5*(1 + t*t1)", "0.4*(t + t1)*t2"])),
+    ("thm24", 2.0, dict(a_expr="0.275*(1 + 0.2*t)^2*(1 + 0.45*t)", b_expr="(1 + 0.2*t)^2",
+                        ks=["0.5*(1 + t*t1)", "0.4*(t + t1)*t2"])),
+]
+
+
+class TestChainRhsTraffic:
+    """Every suite and benchmark instance builds its right-hand side from
+    chains alone: a silent fallback to the dense maps brings back the
+    O(m^2) arrays and the O(m^2) mat-vecs of every Picard sweep."""
+
+    def assert_chains_only(self, inst, monkeypatch):
+        def dense(k, *args, **kwargs):
+            raise AssertionError(f"dense fallback for {k.body}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "_term_map", dense)
+            op = DiscreteRhs(inst)
+            assert np.isfinite(op(np.ones(inst.grid.m + 1))).all()
+        assert op.chains and op.A is None and op.C is None
+
+    @pytest.mark.parametrize("theorem", oracle.SUITE_FAMILIES)
+    def test_suite_instances(self, theorem, monkeypatch):
+        for seed in range(42, 46):
+            self.assert_chains_only(random_instance(theorem, seed, m=64), monkeypatch)
+
+    @pytest.mark.parametrize("theorem,p,data", ITERATED_FAMILIES)
+    def test_iterated_families(self, theorem, p, data, monkeypatch):
+        self.assert_chains_only(make_instance(theorem, p, 0, 1, 32, **data), monkeypatch)
+
+
+class TestNonFiniteWeight:
+    # Pins today's non-causal behaviour: one non-finite w = u^p makes the
+    # kernel sum NaN at every node, on the chain path as on the dense maps
+    # (0 * inf).  The causal oracle of ROADMAP item 1, landing with the one
+    # dominance gate of item 4, flips this test on purpose.
+    @pytest.mark.parametrize("body,chained", [("exp(-(t-s))", True), ("(t-s)^1.5", False)])
+    def test_one_inf_spreads_nan_to_every_node(self, body, chained):
+        inst = make_instance("thm34", 2.0, 0, 1, 16, a=0.5, b_expr="1", ks=[body])
+        op = DiscreteRhs(inst)
+        assert bool(op.chains) is chained
+        u = np.ones(inst.grid.m + 1)
+        u[10] = np.inf
+        assert np.isnan(op(u)).all()
