@@ -68,7 +68,7 @@ from .expr import (
     rename_variables,
     separate,
 )
-from .grid import Grid, GridFunction, _running_trapezoid
+from .grid import Grid, GridFunction, _running_trapezoid, _running_trapezoid_raw
 
 __all__ = [
     "Kernel",
@@ -353,21 +353,12 @@ class _Chain(NamedTuple):
     terms: list
 
     def apply(self, w: np.ndarray, g: Grid) -> np.ndarray:
-        # _running_trapezoid's arithmetic, inlined: dt * (a + b) / 2, then
-        # a cumulative sum, so the result is bit-identical to it.
-        dt = g.dt
         out = np.zeros(g.m + 1)
         with np.errstate(all="ignore"):
             for coef, fs in self.terms:
                 v = w
                 for f in fs[:0:-1]:
-                    x = f * v
-                    s = x[:-1] + x[1:]
-                    s *= dt
-                    s /= 2.0
-                    v = np.empty_like(x)
-                    v[0] = 0.0
-                    np.cumsum(s, out=v[1:])
+                    v = _running_trapezoid_raw(f * v, g.dt)
                 v = fs[0] * v
                 v *= coef
                 out += v

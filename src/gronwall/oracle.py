@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundResult, HypothesisError, ProblemInstance, compute_bound
-from .grid import Grid, GridFunction, _running_trapezoid
+from .expr import free_variables
+from .grid import Grid, GridFunction, _running_trapezoid_raw
 from .kernels import Kernel, KernelSet, _chain, _sum_term_maps, _TermMap
 
 __all__ = [
@@ -106,7 +107,17 @@ class DiscreteRhs:
         else:
             terms = [(ks.k, "k"), (ks.h, "h")]
         present = [(k, label) for k, label in terms if k is not None and not k.is_zero]
-        self.has_kernels = bool(present)
+        # The first node to which the dense maps spread a non-finite w
+        # (see __call__), as kernels._term_map shapes them: a kernel that
+        # reads t is a matrix (node 0); a t-free one of arity >= 2, a
+        # matrix under a running sum (node 1); a t-free arity-1 kernel, a
+        # diagonal under a running sum, which stays causal (None).
+        if any("t" in free_variables(k.body) for k, _ in present):
+            self.nan_from = 0
+        elif any(k.arity > 1 for k, _ in present):
+            self.nan_from = 1
+        else:
+            self.nan_from = None
         self.chains = []
         dense = []
         for k, label in present:
@@ -130,18 +141,19 @@ class DiscreteRhs:
                 acc += self.A @ w
             if self.C is not None:
                 acc += _TermMap(self.C, True).apply(w, g)
-            if self.has_kernels and not np.isfinite(w).all():
-                # Not causal, on purpose: the dense maps spread a non-finite
-                # w to every node through 0 * inf, and the suite's verdicts
-                # rest on that (ROADMAP items 1 and 4 remove it together).
-                acc[:] = np.nan
+            if self.nan_from is not None and not np.isfinite(w).all():
+                # Not causal, on purpose: a dense matrix map spreads a
+                # non-finite w through 0 * inf to every node from nan_from
+                # on, and the suite's verdicts rest on that (ROADMAP items
+                # 1 and 4 remove it together).
+                acc[self.nan_from:] = np.nan
             if t == "thm24":
                 return inst.a_values + inst.b.values * acc
             if t in ("thm34", "cor35"):  # cor35 is thm34 with b = 1
                 b = 1.0 if inst.b is None else inst.b.values
                 return b * (inst.a_const + acc)
             # cumulative forms: datum + int_a^t (b w + int k w + int int h w)
-            acc = _running_trapezoid(inst.b.values * w + acc, g.dt)
+            acc = _running_trapezoid_raw(inst.b.values * w + acc, g.dt)
         if t == "thm23":
             return inst.sigma.values * (inst.a_const + acc)
         return inst.a_values + acc

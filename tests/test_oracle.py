@@ -320,18 +320,34 @@ def separable_instances(draw):
     return make_instance(theorem, p, 0, 1, m, **data)
 
 
+def dense_rhs(inst):
+    """``DiscreteRhs`` on the dense maps alone: every kernel assembled as a
+    dense map, and without the line that spreads a non-finite w, so that
+    the maps spread it themselves."""
+    with mock.patch.object(oracle, "_chain", lambda *args: None):
+        op = DiscreteRhs(inst)
+    assert not op.chains
+    op.nan_from = None
+    return op
+
+
 class TestChainRhs:
     @settings(max_examples=200, deadline=None)
     @given(separable_instances(), st.integers(0, 2**32 - 1))
     def test_chains_match_the_dense_maps(self, inst, seed):
-        u = np.random.default_rng(seed).uniform(0.0, 2.0, inst.grid.m + 1)
-        op = DiscreteRhs(inst)
+        # Also with one infinite node, where the two must fail alike.
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(0.0, 2.0, inst.grid.m + 1)
+        blown = u.copy()
+        blown[rng.integers(0, inst.grid.m + 1)] = np.inf
+        op, dense_op = DiscreteRhs(inst), dense_rhs(inst)
         assert op.chains and op.A is None and op.C is None
-        with mock.patch.object(oracle, "_chain", lambda *args: None):
-            dense_op = DiscreteRhs(inst)
-        assert not dense_op.chains
-        got, dense = op(u), dense_op(u)
-        assert (np.abs(got - dense) <= 1e-13 * (1.0 + np.abs(dense))).all()
+        for x in (u, blown):
+            got, dense = op(x), dense_op(x)
+            finite = np.isfinite(dense)
+            assert (np.isfinite(got) == finite).all()
+            got, dense = got[finite], dense[finite]
+            assert (np.abs(got - dense) <= 1e-13 * (1.0 + np.abs(dense))).all()
 
     @pytest.mark.parametrize("body,error,what", [
         ("s - t", NegativeKernelError, "negative"),
@@ -386,15 +402,28 @@ class TestChainRhsTraffic:
 
 
 class TestNonFiniteWeight:
-    # Pins today's non-causal behaviour: one non-finite w = u^p makes the
-    # kernel sum NaN at every node, on the chain path as on the dense maps
-    # (0 * inf).  The causal oracle of ROADMAP item 1, landing with the one
-    # dominance gate of item 4, flips this test on purpose.
-    @pytest.mark.parametrize("body,chained", [("exp(-(t-s))", True), ("(t-s)^1.5", False)])
-    def test_one_inf_spreads_nan_to_every_node(self, body, chained):
-        inst = make_instance("thm34", 2.0, 0, 1, 16, a=0.5, b_expr="1", ks=[body])
+    # Pins today's non-causal behaviour: one non-finite w = u^p spreads
+    # through a dense matrix map (0 * inf) to every node from the first
+    # one the matrix reaches, on the chain path as on the dense maps.  A
+    # kernel that reads t spreads it to node 0, a t-free kernel of arity
+    # >= 2 to node 1 (behind a running sum), and a t-free arity-1 kernel
+    # stays causal.  The causal oracle of ROADMAP item 1, landing with the
+    # one dominance gate of item 4, flips the first two shapes on purpose.
+    @pytest.mark.parametrize("theorem,data,chained,first_bad", [
+        ("thm34", dict(a=0.5, b_expr="1", ks=["exp(-(t-s))"]), True, 0),
+        ("thm34", dict(a=0.5, b_expr="1", ks=["(t-s)^1.5"]), False, 0),
+        ("cor35", dict(a=0.5, k="0.5", h="0.2"), True, 1),
+        ("thm34", dict(a=0.5, b_expr="1", ks=["0.5", "0.4*t2"]), True, 1),
+        ("thm34", dict(a=0.5, b_expr="1", ks=["0.5"]), True, 10),
+        ("thm32", dict(a=0.5, b_expr="1", k="0.5"), True, 10),
+        ("thm32", dict(a=0.5, b_expr="1", k="exp(s)"), True, 10),
+    ])
+    def test_one_inf_spreads_as_on_the_dense_maps(self, theorem, data, chained, first_bad):
+        inst = make_instance(theorem, 2.0, 0, 1, 16, **data)
         op = DiscreteRhs(inst)
         assert bool(op.chains) is chained
         u = np.ones(inst.grid.m + 1)
         u[10] = np.inf
-        assert np.isnan(op(u)).all()
+        for out in (op(u), dense_rhs(inst)(u)):
+            assert np.isfinite(out[:first_bad]).all()
+            assert not np.isfinite(out[first_bad:]).any()
