@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -179,11 +180,14 @@ class ProblemInstance:
     def q(self) -> float:
         return 1.0 - self.p
 
-    @property
+    @cached_property
     def a_values(self) -> np.ndarray:
+        """The datum at every node, read-only; built once per instance."""
         if self.a_fn is not None:
             return self.a_fn.values
-        return np.full(self.grid.m + 1, float(self.a_const))
+        a = np.full(self.grid.m + 1, float(self.a_const))
+        a.flags.writeable = False
+        return a
 
     def __post_init__(self):
         t = self.theorem

@@ -331,8 +331,11 @@ def load_config(path: str) -> ScenarioConfig:
         seed=_take_int(data["run"], "seed"),
         cases=_take_int(data["run"], "cases"),
     )
-    if cfg.tol <= 0:
-        raise ConfigError("tol must be positive")
+    if not 0 < cfg.tol < np.inf:
+        raise ConfigError(
+            f"tol must be positive and finite, got {cfg.tol}",
+            data["oracle"]["tol"][1],
+        )
     if cfg.max_iter < 1:
         raise ConfigError("max_iter must be at least 1")
     return cfg
@@ -449,6 +452,8 @@ def cmd_suite(
         seed = DEFAULT_SUITE_SEED if cfg.seed is None else cfg.seed
     if cases < 1:
         raise ConfigError(f"cases must be at least 1, got {cases}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     m = cfg.m if cfg.m is not None else DEFAULT_SUITE_M
     lines = ["seed,p,pass,max_violation,horizon_time,picard_status,compare_node"]
     n_failed = 0

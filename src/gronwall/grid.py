@@ -177,13 +177,16 @@ def _running_trapezoid(v: np.ndarray, dt: float) -> np.ndarray:
 def _running_trapezoid_raw(v: np.ndarray, dt: float) -> np.ndarray:
     """:func:`_running_trapezoid` for callers that already hold an
     ``errstate``: a chain of running sums calls it once per level, where
-    a nested ``errstate`` per call made the chain about 15 % slower."""
+    a nested ``errstate`` per call made the chain about 15 % slower.
+
+    ``np.add.accumulate`` is the sequential sum that ``np.cumsum`` calls,
+    without its wrapper, and ``* 0.5`` rounds exactly as ``/ 2.0``."""
     out = np.empty(len(v))
     out[0] = 0.0
     s = v[:-1] + v[1:]
     s *= dt
-    s /= 2.0
-    np.cumsum(s, out=out[1:])
+    s *= 0.5
+    np.add.accumulate(s, out=out[1:])
     return out
 
 

@@ -20,9 +20,14 @@ folded into ``t``, ``expr.separate`` writes the kernel as a short sum of
 and the nested rule factors exactly into
 ``term(w) = sum coef * f0 * cumtrap(f1 * cumtrap(... fd * w))``.  The
 separation does not depend on the grid, so a :class:`Kernel` computes it
-once per ``(n_diag, use_dt)`` and keeps it; each grid then samples every
-factor once, and building and applying cost O(m * depth * rank) with no
-O(m^2) array.  The chain is used only when
+once per ``(n_diag, use_dt)`` and keeps it.  The sampled chain is kept on
+the kernel too, once per ``(grid, n_diag, use_dt)``, with read-only factor
+arrays, so the bound (``compute_B``) and the Picard oracle's
+``DiscreteRhs`` share one sampling; a failed chain (None) is remembered
+as well.  Building and applying cost O(m * depth * rank) with no O(m^2)
+array, and a factor whose samples are all 1.0 (such as every factor of a
+constant kernel) is marked and skipped when the chain is applied.  The
+chain is used only when
 every coefficient and every factor sample is finite and nonnegative, so
 the kernel is nonnegative and finite on the whole grid, and when each
 term's factors multiply to within ``2^(+-SAFE_LOG2)`` (``e^(+-t)``
@@ -144,6 +149,11 @@ class Kernel:
 
     @cached_property
     def _plans(self) -> dict:
+        return {}
+
+    @cached_property
+    def _chains(self) -> dict:
+        """``kernels._chain`` per ``(grid, n_diag, use_dt)``."""
         return {}
 
     def _separated(self, n_diag: int, use_dt: bool = False):
@@ -346,34 +356,67 @@ def _sum_term_maps(terms, g: Grid) -> tuple:
     return parts[False], parts[True]
 
 
-class _Chain(NamedTuple):
-    """A separable kernel term: ``(coef, F)`` per rank-one part, row ``i`` of
-    ``F`` slot ``i``'s factor sampled on the grid (see the module docstring)."""
+class _Part(NamedTuple):
+    """One rank-one part ``coef * f0 * cumtrap(f1 * cumtrap(... fd * w))`` of
+    a chain.  ``coef`` is None when it is 1.0, ``outer`` is ``f0`` and
+    ``inner`` is ``(fd, ..., f1)``, innermost first; a factor whose samples
+    are all 1.0 is None, because multiplying by it changes no bit."""
 
-    terms: list
+    coef: float | None
+    outer: np.ndarray | None
+    inner: tuple
+
+
+class _Chain(NamedTuple):
+    """A separable kernel term as its rank-one parts (see the module
+    docstring); the factor samples are read-only and shared by every user
+    of the chain."""
+
+    parts: tuple
 
     def apply(self, w: np.ndarray, g: Grid) -> np.ndarray:
-        out = np.zeros(g.m + 1)
         with np.errstate(all="ignore"):
-            for coef, fs in self.terms:
-                v = w
-                for f in fs[:0:-1]:
-                    v = _running_trapezoid_raw(f * v, g.dt)
-                v = fs[0] * v
-                v *= coef
-                out += v
-        return out
+            return _apply_parts(self.parts, w, g.dt)
+
+
+def _apply_parts(parts: tuple, w: np.ndarray, dt: float) -> np.ndarray:
+    """Sum of the rank-one ``parts`` applied to ``w``, in order, as a new
+    array; the caller holds the ``errstate``."""
+    out = None
+    for coef, outer, inner in parts:
+        v = w
+        for f in inner:
+            v = _running_trapezoid_raw(v if f is None else f * v, dt)
+        if v is w:  # depth 0: nothing fresh to scale in place yet
+            v = w.copy() if outer is None else outer * w
+        elif outer is not None:
+            v *= outer
+        if coef is not None:
+            v *= coef
+        if out is None:
+            out = v
+        else:
+            out += v
+    return out
 
 
 def _chain(k: Kernel, g: Grid, n_diag: int, use_dt: bool = False) -> _Chain | None:
     """The running-sum form of a kernel term, or None when the kernel does
-    not separate into nonnegative factors within the safe range."""
+    not separate into nonnegative factors within the safe range; sampled
+    once per grid and kept on the kernel."""
+    key = (g, n_diag, use_dt)
+    if key not in k._chains:
+        k._chains[key] = _sample_chain(k, g, n_diag, use_dt)
+    return k._chains[key]
+
+
+def _sample_chain(k: Kernel, g: Grid, n_diag: int, use_dt: bool) -> _Chain | None:
     plan = k._separated(n_diag, use_dt)
     if plan is None:
         return None
     slots, terms = plan
     T = g.nodes
-    sampled = []
+    parts = []
     for coef, factors in terms:
         if not 0.0 <= coef < np.inf:
             return None
@@ -386,8 +429,10 @@ def _chain(k: Kernel, g: Grid, n_diag: int, use_dt: bool = False) -> _Chain | No
         span = logs.max(axis=1).sum() + (abs(np.log2(coef)) if coef > 0 else 0.0)
         if span > SAFE_LOG2:
             return None
-        sampled.append((coef, fs))
-    return _Chain(sampled)
+        fs.flags.writeable = False
+        rows = [None if unit else f for f, unit in zip(fs, (fs == 1.0).all(axis=1))]
+        parts.append(_Part(None if coef == 1.0 else coef, rows[0], tuple(rows[:0:-1])))
+    return _Chain(tuple(parts))
 
 
 def _simplex_term(

@@ -18,6 +18,16 @@ iterated thm24/thm34 alike) each kernel is prepared once per instance: a
 separable kernel as a chain of running sums, costing O(m * depth * rank)
 per sweep with no O(m^2) array, and any other as a dense map, summed into
 at most one matrix and one running-sum matrix (two mat-vecs per sweep).
+A chain is the one the bound already sampled on the same grid (the
+``Kernel`` keeps it), so its factor arrays are shared, not copied.
+
+At the suite's m = 256 a sweep costs a few dozen numpy calls on short
+arrays, so call overhead, not arithmetic, sets its price.  A sweep is
+therefore one pass under one ``errstate``: each chain's rank-one parts
+applied in turn, factors of all 1.0 skipped (``1.0 * x == x`` bit for
+bit), the theorem's tail picked once per operator, and every temporary
+updated in place.  ``picard_extremal`` keeps its own bookkeeping to one
+escape test and an in-place ``delta`` per sweep.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ import numpy as np
 from .bounds import BoundResult, HypothesisError, ProblemInstance, compute_bound
 from .expr import free_variables
 from .grid import Grid, GridFunction, _running_trapezoid_raw
-from .kernels import Kernel, KernelSet, _chain, _sum_term_maps, _TermMap
+from .kernels import Kernel, KernelSet, _apply_parts, _chain, _sum_term_maps
 
 __all__ = [
     "OracleError",
@@ -93,9 +103,14 @@ class DiscreteRhs:
 
     Calling it maps node values ``u`` to ``RHS(u)``.  The kernel integrals
     are linear in w = u^p.  Each separable kernel is one of ``chains``
-    (see ``kernels``); the others sum to ``A @ w`` plus the running
-    trapezoid sum of ``C . w``, with ``A`` and ``C`` assembled here once
-    (either may be None).
+    (see ``kernels``), the same read-only chain that the bound used on
+    this grid; the others sum to ``A @ w`` plus the running trapezoid sum
+    of ``C . w``, with ``A`` and ``C`` assembled here once (either may be
+    None).  A call applies each chain's rank-one parts, skipping factors
+    and coefficients of exactly 1.0, and sums them per chain in the
+    chain's order, so a rank > 1 chain adds up as it does in the bound.
+    It holds no per-operator array: the datum comes from the instance's
+    cached ``a_values``, and ``nan_from`` is read at call time.
     """
 
     def __init__(self, inst: ProblemInstance):
@@ -127,36 +142,71 @@ class DiscreteRhs:
             else:
                 self.chains.append(chain)
         self.A, self.C = _sum_term_maps(dense, self.g)
+        if inst.theorem == "thm24":
+            self._tail = self._tail_datum_plus_b_times
+        elif inst.theorem in ("thm34", "cor35"):
+            self._tail = self._tail_b_times_a_plus
+        elif inst.theorem == "thm23":
+            self._tail = self._tail_thm23
+        else:
+            self._tail = self._tail_cumulative
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         inst = self.inst
-        g = self.g
-        t = inst.theorem
+        dt = self.g.dt
         with np.errstate(all="ignore"):
             w = np.power(u, inst.p)
-            acc = np.zeros(g.m + 1)
+            acc = None
             for chain in self.chains:
-                acc += chain.apply(w, g)
+                s = _apply_parts(chain.parts, w, dt)
+                if acc is None:
+                    acc = s
+                else:
+                    acc += s
+            if acc is None:
+                acc = np.zeros(len(u))
             if self.A is not None:
                 acc += self.A @ w
             if self.C is not None:
-                acc += _TermMap(self.C, True).apply(w, g)
+                C = self.C
+                acc += _running_trapezoid_raw(C * w if C.ndim == 1 else C @ w, dt)
             if self.nan_from is not None and not np.isfinite(w).all():
                 # Not causal, on purpose: a dense matrix map spreads a
                 # non-finite w through 0 * inf to every node from nan_from
                 # on, and the suite's verdicts rest on that (ROADMAP items
                 # 1 and 4 remove it together).
                 acc[self.nan_from:] = np.nan
-            if t == "thm24":
-                return inst.a_values + inst.b.values * acc
-            if t in ("thm34", "cor35"):  # cor35 is thm34 with b = 1
-                b = 1.0 if inst.b is None else inst.b.values
-                return b * (inst.a_const + acc)
-            # cumulative forms: datum + int_a^t (b w + int k w + int int h w)
-            acc = _running_trapezoid_raw(inst.b.values * w + acc, g.dt)
-        if t == "thm23":
-            return inst.sigma.values * (inst.a_const + acc)
-        return inst.a_values + acc
+            return self._tail(inst, w, acc, dt)
+
+    # The datum and the outer factor, applied in place to the kernel sum
+    # ``acc`` (a new array); one of these is picked per theorem.
+    @staticmethod
+    def _tail_datum_plus_b_times(inst, w, acc, dt):  # thm24
+        acc *= inst.b.values
+        acc += inst.a_values
+        return acc
+
+    @staticmethod
+    def _tail_b_times_a_plus(inst, w, acc, dt):  # thm34, and cor35 with b = 1
+        acc += inst.a_const
+        if inst.b is not None:
+            acc *= inst.b.values
+        return acc
+
+    @staticmethod
+    def _tail_cumulative(inst, w, acc, dt):
+        # datum + int_a^t (b w + int k w + int int h w)
+        v = inst.b.values * w
+        v += acc
+        acc = _running_trapezoid_raw(v, dt)
+        acc += inst.a_values
+        return acc
+
+    @staticmethod
+    def _tail_thm23(inst, w, acc, dt):  # sigma (a + int_a^t ...), a constant
+        acc = DiscreteRhs._tail_cumulative(inst, w, acc, dt)
+        acc *= inst.sigma.values
+        return acc
 
 
 def rhs_operator(inst: ProblemInstance, u: GridFunction) -> GridFunction:
@@ -185,53 +235,54 @@ def picard_extremal(
     ``max_iter`` sweeps elapse.  Iterates are checked to be nodewise
     nondecreasing every sweep; the Volterra operator guarantees it.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     op = DiscreteRhs(inst)
     m = inst.grid.m
     u = op(np.zeros(m + 1))
     delta = np.full(m + 1, np.inf)
     status = PicardStatus.MAX_ITER
     diverged_node = None
+    end = m + 1  # nodes below the first escape
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        for iterations in range(1, max_iter + 1):
             un = op(u)
-            escaped = ~np.isfinite(un) | (np.abs(un) > DIVERGENCE_LIMIT)
-        if escaped.any():
-            # Volterra causality: nodes below the first escape never see
-            # the diverging tail, so keep iterating that prefix to
-            # convergence (partial certification over it is the point).
-            jd = int(np.argmax(escaped))
-            diverged_node = jd if diverged_node is None else min(diverged_node, jd)
-        end = diverged_node if diverged_node is not None else m + 1
-        if end == 0:
-            status = PicardStatus.DIVERGED
+            inside = np.abs(un) <= DIVERGENCE_LIMIT  # NaN and inf fail too
+            if not inside.all():
+                # Volterra causality: nodes below the first escape never see
+                # the diverging tail, so keep iterating that prefix to
+                # convergence (partial certification over it is the point).
+                end = diverged_node = min(end, int(np.argmin(inside)))
+            if end == 0:
+                status = PicardStatus.DIVERGED
+                u = un
+                break
+            step = un - u
+            fell = step[:end] < 0  # exactly where un < u
+            if fell.any():
+                raise OracleError(
+                    f"Picard iterates decreased at node {int(np.argmax(fell))}: "
+                    "monotonicity violated"
+                )
+            delta = np.abs(step, out=step)
+            scale = np.abs(u)
+            scale += 1.0
+            delta /= scale
             u = un
-            break
-        if (un[:end] < u[:end]).any():
-            j = int(np.argmax(un[:end] < u[:end]))
-            raise OracleError(
-                f"Picard iterates decreased at node {j}: monotonicity violated"
-            )
-        with np.errstate(all="ignore"):
-            delta = np.abs(un - u) / (1.0 + np.abs(u))
-        u = un
-        if delta[:end].max() < tol:
-            status = (
-                PicardStatus.DIVERGED
-                if diverged_node is not None
-                else PicardStatus.CONVERGED
-            )
-            break
+            if delta[:end].max() < tol:
+                status = (
+                    PicardStatus.DIVERGED
+                    if diverged_node is not None
+                    else PicardStatus.CONVERGED
+                )
+                break
 
-    if status is PicardStatus.CONVERGED:
-        conv_node = m
-    else:
-        with np.errstate(all="ignore"):
+        if status is PicardStatus.CONVERGED:
+            conv_node = m
+        else:
             ok = delta < tol
-        conv_node = m if ok.all() else int(np.argmin(ok)) - 1
-    end = diverged_node if diverged_node is not None else m + 1
+            conv_node = m if ok.all() else int(np.argmin(ok)) - 1
     final_delta = float(delta[:end].max()) if end > 0 else float("inf")
     u = np.where(np.isfinite(u), u, np.nan)
     return PicardOutcome(

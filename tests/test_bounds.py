@@ -453,3 +453,17 @@ def test_compute_bound_dispatch():
     assert br.full
     inst32 = make_instance("thm32", 2.0, 0, 1, 64, a=1.0, b_expr="1")
     assert compute_bound(inst32).bound.values[0] == pytest.approx(1.0)
+
+
+class TestDatumValues:
+    def test_constant_datum_is_built_once_and_read_only(self):
+        inst = make_instance("thm32", 2.0, 0, 1, 16, a=0.7, b_expr="1")
+        first = inst.a_values
+        assert inst.a_values is first
+        assert not first.flags.writeable
+        assert (first == 0.7).all() and first.shape == (17,)
+
+    def test_datum_function_is_its_samples(self):
+        inst = make_instance("thm33", 2.0, 0, 1, 16, a_expr="1 + t", b_expr="1")
+        assert inst.a_values is inst.a_fn.values
+        assert not inst.a_values.flags.writeable

@@ -235,6 +235,19 @@ class TestCommands:
         assert "cases must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed_line, flag", [
+        ("seed = -5\n", []),
+        ("", ["--seed", "-1"]),
+    ], ids=["config", "flag"])
+    def test_suite_rejects_negative_seed(self, tmp_path, capsys, seed_line, flag):
+        text = "[problem]\ntheorem = thm33\n[run]\ncases = 2\n" + seed_line
+        cfg = write(tmp_path, "s.cfg", text)
+        out = tmp_path / "a.csv"
+        assert cli.main(["suite", "--config", cfg, "--out", str(out)] + flag) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be nonnegative") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_module_entry_point(self, tmp_path):
         cfg = write(tmp_path, "r.cfg", RICCATI_CONFIG.replace("m = 1024", "m = 8"))
         src_dir = os.path.dirname(os.path.dirname(cli.__file__))
@@ -390,6 +403,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_tol_must_be_positive_and_finite(self, tmp_path, capsys, tol):
+        # nan passed `tol <= 0` and crashed Picard; inf certified the
+        # first iterate alone.
+        text = RICCATI_CONFIG.replace("tol = 1e-10", f"tol = {tol}")
+        cfg = write(tmp_path, "t.cfg", text.replace("m = 1024", "m = 64"))
+        out = tmp_path / "verify.csv"
+        assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 14: tol must be positive and finite")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_nonfinite_sample_exit_2(self, tmp_path):

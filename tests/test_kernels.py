@@ -483,6 +483,59 @@ class TestSeparableChain:
         assert np.abs(chain.apply(ones, g) - dense).max() <= 1e-13 * (1.0 + dense.max())
 
 
+class TestChainCache:
+    def test_sampled_once_per_grid_and_read_only(self):
+        k = Kernel(1, "0.3*exp(-(t-s))")
+        g = Grid(0, 1, 16)
+        chain = kernels._chain(k, g, 0)
+        assert kernels._chain(k, g, 0) is chain
+        assert kernels._chain(k, Grid(0, 1, 32), 0) is not chain
+        assert kernels._chain(k, g, 0, use_dt=True) is not chain
+        (part,) = chain.parts
+        for f in (part.outer, *part.inner):
+            assert not f.flags.writeable
+
+    def test_bound_and_oracle_share_the_chain(self):
+        inst = oracle.random_instance("thm32", 42, m=32)
+        compute_bound(inst)
+        op = oracle.DiscreteRhs(inst)
+        g = inst.grid
+        k, h = inst.kernels.k, inst.kernels.h
+        assert len(op.chains) == 2
+        assert op.chains[0] is kernels._chain(k, g, 0)
+        assert op.chains[1] is kernels._chain(h, g, 0)
+
+    def test_a_failed_chain_is_remembered(self, monkeypatch):
+        k = Kernel(1, "t - s")
+        g = Grid(0, 1, 8)
+        assert kernels._chain(k, g, 0) is None
+        monkeypatch.setattr(kernels, "_sample_chain", None)
+        assert kernels._chain(k, g, 0) is None
+
+    @pytest.mark.parametrize("body,arity", [("0.61", 2), ("2*(1 + t*t1)", 1), ("1", 1)])
+    def test_unit_factors_are_skipped_bit_for_bit(self, body, arity):
+        # A factor or coefficient of exactly 1.0 is left out of the sweep;
+        # multiplying by it would change no bit.
+        g = Grid(0, 1, 16)
+        chain = kernels._chain(Kernel(arity, body), g, 0)
+        ones = np.ones(g.m + 1)
+        full = tuple(kernels._Part(
+            1.0 if coef is None else coef,
+            ones if outer is None else outer,
+            tuple(ones if f is None else f for f in inner),
+        ) for coef, outer, inner in chain.parts)
+        assert any(None in (p.coef, p.outer, *p.inner) for p in chain.parts)
+        w = np.random.default_rng(3).uniform(0.0, 2.0, g.m + 1)
+        assert np.array_equal(chain.apply(w, g), kernels._Chain(full).apply(w, g))
+
+    def test_depth_zero_chain_returns_a_new_array(self):
+        g = Grid(0, 1, 8)
+        chain = kernels._chain(Kernel(1, "1"), g, 1)
+        w = np.linspace(0.0, 1.0, g.m + 1)
+        out = chain.apply(w, g)
+        assert out is not w and np.array_equal(out, w)
+
+
 # Every kernel of `oracle.random_instance` and of the benchmark's refine and
 # iterated families, written out: each must run as a chain, since a silent
 # fallback to the dense maps brings back O(m^2) memory and O(m^3) time.

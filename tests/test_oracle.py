@@ -118,6 +118,28 @@ class TestPicard:
                 assert out.status is PicardStatus.CONVERGED
                 assert out.conv_node == inst.grid.m
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        inst = make_instance("thm32", 2.0, 0, 1, 16, a=1.0, b_expr="1")
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            picard_extremal(inst, tol=tol)
+
+    def test_decreasing_iterate_raises(self, monkeypatch):
+        inst = make_instance("thm32", 2.0, 0, 1, 32, a=0.5, b_expr="1", k="0.5")
+        sweep = DiscreteRhs.__call__
+        calls = []
+
+        def dented(op, u):
+            out = sweep(op, u)
+            calls.append(None)
+            if len(calls) == 3:  # the second Picard sweep drops at node 7
+                out[7] = np.nextafter(u[7], -np.inf)
+            return out
+
+        monkeypatch.setattr(DiscreteRhs, "__call__", dented)
+        with pytest.raises(oracle.OracleError, match="decreased at node 7"):
+            picard_extremal(inst)
+
     def test_max_iter_reported(self):
         inst = make_instance("thm32", 2.0, 0, 0.9, 256, a=1.0, b_expr="1")
         out = picard_extremal(inst, tol=1e-14, max_iter=3)
