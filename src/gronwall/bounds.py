@@ -117,7 +117,7 @@ def detect_horizon(bracket: GridFunction):
     valid = np.isfinite(vals) & (vals > 0.0)
     if not valid[0]:
         raise HypothesisError(
-            f"bracket invalid at node 0 (value {vals[0]!r}): inconsistent instance"
+            f"bracket invalid at node 0 (value {float(vals[0])!r}): inconsistent instance"
         )
     if valid.all():
         return bracket.grid.m, T[-1], HorizonKind.FULL

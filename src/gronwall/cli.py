@@ -6,7 +6,8 @@ comments.  Outputs are CSV with numbers at 17 significant digits and LF
 line endings, so identical configs (and seeds) produce bit-identical
 files.  Exit codes: 0 success / verification PASS, 1 verification FAIL,
 2 configuration or hypothesis error, or an oracle run that leaves
-nothing to compare.
+nothing to compare.  ``main`` can be called repeatedly in one process;
+every call shares one argument parser, built on the first call.
 
 A kernel's t-derivative is always the exact derivative of its expression.
 The ``k_dt_expr``, ``h_dt_expr`` and ``k<i>_dt_expr`` keys are kept only
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import sys
 from dataclasses import dataclass
@@ -331,6 +333,9 @@ def load_config(path: str) -> ScenarioConfig:
         seed=_take_int(data["run"], "seed"),
         cases=_take_int(data["run"], "cases"),
     )
+    for key, value in (("a", cfg.a_const), ("p", cfg.p)):
+        if value is not None and not np.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}", problem[key][1])
     if not 0 < cfg.tol < np.inf:
         raise ConfigError(
             f"tol must be positive and finite, got {cfg.tol}",
@@ -472,7 +477,10 @@ def cmd_suite(
     return 0 if n_failed == 0 else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    :func:`main` call in the process (``parse_args`` leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="gronwall",
         description="Certified Gronwall-type bounds for Volterra inequalities "
@@ -494,7 +502,11 @@ def main(argv=None) -> int:
         if name == "suite":
             p.add_argument("--cases", type=int, default=None)
             p.add_argument("--seed", type=int, default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.command == "bound":

@@ -54,6 +54,15 @@ class TestDetectHorizon:
         with pytest.raises(HypothesisError, match="node 0"):
             detect_horizon(GridFunction(g, [-0.1, 1.0, 2.0]))
 
+    @pytest.mark.parametrize("value, shown", [(0.0, "0.0"), (np.nan, "nan"), (-np.inf, "-inf")])
+    def test_invalid_node_zero_prints_a_plain_float(self, value, shown):
+        g = Grid(0, 1, 2)
+        with pytest.raises(HypothesisError) as err:
+            detect_horizon(GridFunction(g, [value, 1.0, 2.0]))
+        assert str(err.value) == (
+            f"bracket invalid at node 0 (value {shown}): inconsistent instance"
+        )
+
     def test_nonfinite_entry_cuts(self):
         g = Grid(0, 1, 4)
         bracket = GridFunction(g, [1.0, 0.5, np.nan, 0.5, 0.5])

@@ -38,6 +38,17 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def run_fresh(argv):
+    """``python -m gronwall.cli`` with ``argv`` in a fresh interpreter."""
+    src_dir = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src_dir, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "gronwall.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def read_rows(path):
     lines = path.read_text().splitlines()
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
@@ -250,13 +261,7 @@ class TestCommands:
 
     def test_module_entry_point(self, tmp_path):
         cfg = write(tmp_path, "r.cfg", RICCATI_CONFIG.replace("m = 1024", "m = 8"))
-        src_dir = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src_dir, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "gronwall.cli", "bound", "--config", cfg],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_fresh(["bound", "--config", cfg])
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert lines[0] == "t,bound"
@@ -268,6 +273,48 @@ CUT_CONFIG = (
     "b_expr = exp(t)\nk_expr = exp(-(t-s))\n[grid]\nm = 32\n"
 )
 FULL_CONFIG = CUT_CONFIG.replace("p = 2", "p = 0.5")
+
+
+class TestSharedParser:
+    """Every ``main`` call in a process parses with one parser; a call
+    prints what the same command prints first in a fresh interpreter."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        # argparse wraps help and usage to the terminal width.
+        monkeypatch.setenv("COLUMNS", "80")
+
+    def test_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def in_process(self, argv, capsys):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_repeated_calls_match_a_fresh_interpreter(self, tmp_path, capsys):
+        cfg = write(tmp_path, "cut.cfg", CUT_CONFIG)
+        runs = [
+            (["bound"], 2),
+            (["bound", "--config", cfg], 0),
+            (["horizon", "--config", cfg], 0),
+            (["convergence", "--config", cfg, "--levels", "2"], 0),
+        ]
+        got = [self.in_process(argv, capsys) for argv, _ in runs]
+        for (argv, code), mine in zip(runs, got):
+            proc = run_fresh(argv)
+            assert proc.returncode == code
+            assert mine == (code, proc.stdout, proc.stderr)
+        assert "the following arguments are required: --config" in got[0][2]
+
+    def test_help_matches_a_fresh_interpreter(self, capsys):
+        proc = run_fresh(["--help"])
+        assert proc.returncode == 0
+        assert self.in_process(["--help"], capsys) == (0, proc.stdout, proc.stderr)
+        assert proc.stdout.startswith("usage: gronwall ")
 
 
 def reference_convergence_csv(cfg, levels):
@@ -416,6 +463,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: line 14: tol must be positive and finite")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, given, value, line", [
+        ("a", "1", "inf", 7), ("a", "1", "nan", 7), ("p", "2", "inf", 4), ("p", "2", "nan", 4),
+    ])
+    def test_datum_and_exponent_must_be_finite(self, tmp_path, capsys, key, given, value, line):
+        # a = inf passed `a > 0` and p = inf passed `p >= 0`; the bracket
+        # then failed at node 0 with a message naming no key.
+        text = RICCATI_CONFIG.replace(f"\n{key} = {given}\n", f"\n{key} = {value}\n")
+        cfg = write(tmp_path, "n.cfg", text.replace("m = 1024", "m = 32"))
+        out = tmp_path / "verify.csv"
+        assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: line {line}: {key} must be finite, got {value}\n"
         assert not out.exists()
 
     def test_nonfinite_sample_exit_2(self, tmp_path):

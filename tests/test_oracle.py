@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -286,6 +287,41 @@ class TestDominanceRegression:
                 viol = out.u.values[: n + 1] - br.bound.values[: n + 1]
                 slack = 1e-6 * (1.0 + br.bound.values[: n + 1])
                 assert (viol <= slack).all(), (fam, seed, viol.max())
+
+
+class TestExtremalMonotoneInDatum:
+    """The right-hand side is nondecreasing in the datum, so a larger
+    datum gives a larger least solution: scaling ``a`` up must not lower
+    the Picard extremal on the prefix where both runs converged."""
+
+    @staticmethod
+    def converged_prefix(out):
+        """The last node that converged below the first escape.  Picard
+        measures convergence below the escape only; when node 0 escapes,
+        ``conv_node`` still counts the nodes of the sweep before, whose
+        values the escaped sweep has replaced with NaN."""
+        if out.diverged_node is None:
+            return out.conv_node
+        return min(out.conv_node, out.diverged_node - 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(oracle.SUITE_FAMILIES),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from((16, 32, 64)),
+        st.floats(1.0, 4.0),
+    )
+    def test_scaling_the_datum_up_never_lowers_the_extremal(self, fam, seed, m, factor):
+        inst = random_instance(fam, seed, m=m)
+        if inst.a_fn is not None:
+            a_fn = GridFunction(inst.grid, factor * inst.a_fn.values)
+            scaled = dataclasses.replace(inst, a_fn=a_fn)
+        else:
+            scaled = dataclasses.replace(inst, a_const=factor * inst.a_const)
+        low, high = picard_extremal(inst), picard_extremal(scaled)
+        n = min(self.converged_prefix(low), self.converged_prefix(high))
+        u, v = low.u.values[: n + 1], high.u.values[: n + 1]
+        assert (v >= u - 1e-12 * np.abs(u)).all(), (fam, seed, m, factor)
 
 
 # --- the right-hand side on chains of running sums -------------------------
