@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import Grid, GridFunction, _running_trapezoid, cumulative_trapezoid, running_sup
+from .grid import Grid, GridFunction, _running_trapezoid_raw, cumulative_trapezoid
 from .kernels import Kernel, KernelSet, apply_Q, apply_R, compute_B
 
 __all__ = [
@@ -339,12 +339,14 @@ def _bracket_bound(
     ``kind`` labels that crossing.
     """
     with np.errstate(all="ignore"):
-        bracket = np.power(datum, q) + q * _running_trapezoid(integrand, g.dt)
+        bracket = _running_trapezoid_raw(integrand, g.dt)
+        bracket *= q
+        bracket += np.power(datum, q)
+        vals = np.power(bracket, 1.0 / q)
+        vals *= factor
     node, time, crossed = detect_horizon(GridFunction(g, bracket))
     if crossed is not HorizonKind.FULL:
         crossed = kind
-    with np.errstate(all="ignore"):
-        vals = factor * np.power(bracket, 1.0 / q)
     vals[node + 1 :] = np.nan
     return BoundResult(GridFunction(g, vals), node, time, crossed)
 
@@ -403,7 +405,7 @@ def thm24_bound(inst: ProblemInstance) -> BoundResult:
 def _pair_q_form(inst: ProblemInstance) -> BoundResult:
     """thm32/thm33: [A^q + q int B]^(1/q), A the running sup of the datum."""
     g = inst.grid
-    A = running_sup(GridFunction(g, inst.a_values)).values
+    A = np.maximum.accumulate(inst.a_values)
     B = compute_B(inst.b, inst.kernels.k, inst.kernels.h, g)
     return _bracket_bound(g, 1.0, A, inst.q, B.values, HorizonKind.Q_POSITIVITY)
 

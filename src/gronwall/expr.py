@@ -17,12 +17,18 @@ Evaluation follows IEEE double semantics: division by zero, ``log`` of a
 nonpositive value, and overflow produce infinities or NaNs that are
 returned as-is for the caller to flag.  ``sign`` is -1, 0 or 1, so that
 :func:`derivative`, the exact differentiator, stays in the language.
+
+Nodes are immutable.  Each carries its free variables (``free``, the
+names it reads) and its hash, both computed from its children's when it
+is made, so :func:`free_variables`, :func:`derivative`, :func:`separate`
+and dicts keyed by subtrees never walk a tree to get them.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Union
 
 import numpy as np
@@ -64,32 +70,79 @@ class UnboundVariableError(ExprError):
     pass
 
 
-@dataclass(frozen=True)
-class Num:
+class _Node:
+    """Base of the node types.  A node computes ``free``, the set of
+    variable names it reads, and its hash when it is made, from its
+    children's, so neither costs a walk of the tree afterwards.  Equality
+    is the dataclasses' field by field comparison."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__: a string's hash differs between
+        # interpreters, so the cached one must not travel.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+def _node(cls):
+    """A frozen dataclass node with its own ``__init__``, which fills
+    ``__dict__`` directly, and ``_Node``'s cached hash."""
+    cls = dataclass(frozen=True, init=False)(cls)
+    cls.__hash__ = _Node.__hash__
+    return cls
+
+
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    return a if b <= a else b if a <= b else a | b
+
+
+@_node
+class Num(_Node):
     value: float
 
+    def __init__(self, value: float):
+        vars(self).update(value=value, free=frozenset(), _hash=hash(value))
 
-@dataclass(frozen=True)
-class Var:
+
+@_node
+class Var(_Node):
     name: str
 
+    def __init__(self, name: str):
+        vars(self).update(name=name, free=frozenset((name,)), _hash=hash(name))
 
-@dataclass(frozen=True)
-class Neg:
+
+@_node
+class Neg(_Node):
     operand: "Expr"
 
+    def __init__(self, operand: "Expr"):
+        vars(self).update(operand=operand, free=operand.free, _hash=hash(("-", operand._hash)))
 
-@dataclass(frozen=True)
-class BinOp:
+
+@_node
+class BinOp(_Node):
     op: str  # one of + - * / ^
     left: "Expr"
     right: "Expr"
 
+    def __init__(self, op: str, left: "Expr", right: "Expr"):
+        vars(self).update(
+            op=op, left=left, right=right,
+            free=_union(left.free, right.free), _hash=hash((op, left._hash, right._hash)),
+        )
 
-@dataclass(frozen=True)
-class Call:
+
+@_node
+class Call(_Node):
     func: str
     arg: "Expr"
+
+    def __init__(self, func: str, arg: "Expr"):
+        vars(self).update(func=func, arg=arg, free=arg.free, _hash=hash((func, arg._hash)))
 
 
 Expr = Union[Num, Var, Neg, BinOp, Call]
@@ -103,105 +156,89 @@ _TOKEN_RE = re.compile(
   | (?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op>[-+*/^()])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # number | name | op | end
-    text: str
-    offset: int
-
-
-def _tokenize(source: str) -> list[_Token]:
+def _tokenize(source: str) -> list[tuple]:
+    """``(kind, text, offset)`` per token, kind one of number, name, op
+    and a closing end."""
     tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ExprSyntaxError(f"unexpected character {source[pos]!r}", pos)
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(_Token("end", "", len(source)))
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        if kind != "ws" and kind != "comment":
+            tokens.append((kind, m.group(), m.start()))
+    tokens.append(("end", "", len(source)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], allowed_vars: frozenset[str]):
+    def __init__(self, tokens: list[tuple], allowed_vars: frozenset[str]):
         self.tokens = tokens
         self.pos = 0
         self.allowed_vars = allowed_vars
 
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def op(self, ops: str) -> str | None:
+        """The current token's text when it is one of the operators ``ops``."""
+        kind, text, _ = self.tokens[self.pos]
+        return text if kind == "op" and text in ops else None
 
     def expect_op(self, text: str) -> None:
-        tok = self.current
-        if tok.kind != "op" or tok.text != text:
-            raise ExprSyntaxError(f"expected {text!r}", tok.offset)
-        self.advance()
+        if self.op(text) is None:
+            raise ExprSyntaxError(f"expected {text!r}", self.tokens[self.pos][2])
+        self.pos += 1
 
     def parse_expr(self) -> Expr:
         node = self.parse_term()
-        while self.current.kind == "op" and self.current.text in "+-":
-            op = self.advance().text
+        while op := self.op("+-"):
+            self.pos += 1
             node = BinOp(op, node, self.parse_term())
         return node
 
     def parse_term(self) -> Expr:
         node = self.parse_factor()
-        while self.current.kind == "op" and self.current.text in "*/":
-            op = self.advance().text
+        while op := self.op("*/"):
+            self.pos += 1
             node = BinOp(op, node, self.parse_factor())
         return node
 
     def parse_factor(self) -> Expr:
-        if self.current.kind == "op" and self.current.text == "-":
-            self.advance()
+        if self.op("-"):
+            self.pos += 1
             return Neg(self.parse_factor())
         node = self.parse_atom()
-        if self.current.kind == "op" and self.current.text == "^":
-            self.advance()
+        if self.op("^"):
+            self.pos += 1
             return BinOp("^", node, self.parse_factor())
         return node
 
     def parse_atom(self) -> Expr:
-        tok = self.current
-        if tok.kind == "number":
-            self.advance()
-            return Num(float(tok.text))
-        if tok.kind == "name":
-            self.advance()
-            if self.current.kind == "op" and self.current.text == "(":
-                if tok.text not in FUNCTIONS:
-                    raise UnknownFunctionError(
-                        f"unknown function {tok.text!r}", tok.offset
-                    )
-                self.advance()
+        kind, text, offset = self.tokens[self.pos]
+        if kind == "number":
+            self.pos += 1
+            return Num(float(text))
+        if kind == "name":
+            self.pos += 1
+            if self.op("("):
+                if text not in FUNCTIONS:
+                    raise UnknownFunctionError(f"unknown function {text!r}", offset)
+                self.pos += 1
                 arg = self.parse_expr()
                 self.expect_op(")")
-                return Call(tok.text, arg)
-            if tok.text not in self.allowed_vars:
-                raise UnknownVariableError(
-                    f"unknown variable {tok.text!r}", tok.offset
-                )
-            return Var(tok.text)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
+                return Call(text, arg)
+            if text not in self.allowed_vars:
+                raise UnknownVariableError(f"unknown variable {text!r}", offset)
+            return Var(text)
+        if self.op("("):
+            self.pos += 1
             node = self.parse_expr()
             self.expect_op(")")
             return node
-        raise ExprSyntaxError("expected a number, variable or '('", tok.offset)
+        raise ExprSyntaxError("expected a number, variable or '('", offset)
 
 
 def parse(source: str, allowed_vars: Iterable[str]) -> Expr:
@@ -210,9 +247,9 @@ def parse(source: str, allowed_vars: Iterable[str]) -> Expr:
         raise ExprSyntaxError("empty expression", 0)
     parser = _Parser(_tokenize(source), frozenset(allowed_vars))
     node = parser.parse_expr()
-    tok = parser.current
-    if tok.kind != "end":
-        raise ExprSyntaxError(f"unexpected {tok.text!r}", tok.offset)
+    kind, text, offset = parser.tokens[parser.pos]
+    if kind != "end":
+        raise ExprSyntaxError(f"unexpected {text!r}", offset)
     return node
 
 
@@ -262,36 +299,25 @@ def _eval(e: Expr, ctx: EvalContext):
 
 def free_variables(e: Expr) -> frozenset[str]:
     """Exact set of variable names appearing in ``e``."""
-    if isinstance(e, Num):
-        return frozenset()
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Neg):
-        return free_variables(e.operand)
-    if isinstance(e, Call):
-        return free_variables(e.arg)
-    if isinstance(e, BinOp):
-        return free_variables(e.left) | free_variables(e.right)
-    raise TypeError(f"not an expression node: {e!r}")
+    return e.free
 
 
 def rename_variables(e: Expr, mapping: Mapping[str, str]) -> Expr:
-    """Return a copy of ``e`` with variable names substituted per ``mapping``."""
-    if isinstance(e, Num):
+    """Return ``e`` with variable names substituted per ``mapping``; a
+    subtree that reads none of them is kept as it is, not copied."""
+    if e.free.isdisjoint(mapping):
         return e
     if isinstance(e, Var):
-        return Var(mapping.get(e.name, e.name))
+        return Var(mapping[e.name])
     if isinstance(e, Neg):
         return Neg(rename_variables(e.operand, mapping))
     if isinstance(e, Call):
         return Call(e.func, rename_variables(e.arg, mapping))
-    if isinstance(e, BinOp):
-        return BinOp(
-            e.op,
-            rename_variables(e.left, mapping),
-            rename_variables(e.right, mapping),
-        )
-    raise TypeError(f"not an expression node: {e!r}")
+    return BinOp(
+        e.op,
+        rename_variables(e.left, mapping),
+        rename_variables(e.right, mapping),
+    )
 
 
 _ZERO, _ONE = Num(0.0), Num(1.0)
@@ -340,7 +366,7 @@ def derivative(e: Expr, var: str) -> Expr:
     from 0.  The result holds no negative literal, so it round-trips
     through :func:`to_source`.
     """
-    if var not in free_variables(e):
+    if var not in e.free:
         return _ZERO
     if isinstance(e, Var):
         return _ONE
@@ -390,21 +416,23 @@ def separate(e: Expr, variables: Iterable[str]) -> list | None:
     equals ``e``.
     """
     variables = tuple(variables)
-    extra = free_variables(e) - set(variables)
+    extra = e.free - set(variables)
     if extra:
         raise ValueError(f"expression reads {sorted(extra)} outside {list(variables)}")
-    terms = _separate(e)
+    with np.errstate(all="ignore"):
+        terms = _separate(e)
     if terms is None:
         return None
     return [(c, {v: f.get(v, _ONE) for v in variables}) for c, f in terms]
 
 
 def _separate(e: Expr) -> list | None:
-    """``separate`` on factor dicts that leave out unit factors."""
-    names = free_variables(e)
+    """``separate`` on factor dicts that leave out unit factors; the
+    caller holds the ``errstate``."""
+    names = e.free
     if not names:
-        c = evaluate(e, {})
-        return [(c, {})] if np.isfinite(c) else None
+        c = _constant(e)
+        return [(c, {})] if math.isfinite(c) else None
     if len(names) == 1:
         return [(1.0, {next(iter(names)): e})]
     if isinstance(e, Neg):
@@ -423,6 +451,12 @@ def _separate(e: Expr) -> list | None:
     if e.op == "*":
         return _product(a, b)
     return _product(a, _reciprocal(b))
+
+
+def _constant(e: Expr) -> float:
+    """The value of ``e``, which reads no variable: a literal is read, not
+    evaluated."""
+    return float(e.value) if isinstance(e, Num) else float(_eval(e, {}))
 
 
 def _scale(terms: list | None, c: float) -> list | None:
@@ -465,18 +499,17 @@ def _reciprocal(terms: list) -> list | None:
 
 
 def _separate_power(base: Expr, exponent: Expr) -> list | None:
-    if free_variables(exponent):
+    if exponent.free:
         return None
-    n = evaluate(exponent, {})
+    n = _constant(exponent)
     terms = _separate(base)
-    if terms is None or not np.isfinite(n):
+    if terms is None or not math.isfinite(n):
         return None
     if len(terms) == 1:
         # (c prod f)^n = c^n prod f^n wherever the f^n are real.
         c, f = terms[0]
-        with np.errstate(all="ignore"):
-            cn = float(np.power(c, n))
-        if not np.isfinite(cn):
+        cn = float(np.power(c, n))
+        if not math.isfinite(cn):
             return None
         return [(cn, {v: BinOp("^", x, exponent) for v, x in f.items()})]
     if n != int(n) or not 2 <= n <= MAX_EXPAND_DEGREE:
@@ -505,9 +538,8 @@ def _separate_exp(arg: Expr) -> list | None:
         piece = x if abs(tc) == 1.0 else BinOp("*", Num(abs(tc)), x)
         piece = piece if tc >= 0 else Neg(piece)
         parts[v] = _add(parts[v], piece) if v in parts else piece
-    with np.errstate(all="ignore"):
-        coef = float(np.exp(c))
-    if not np.isfinite(coef):
+    coef = float(np.exp(c))
+    if not math.isfinite(coef):
         return None
     return [(coef, {v: Call("exp", g) for v, g in parts.items()})]
 

@@ -60,7 +60,10 @@ class Grid:
 
     @cached_property
     def nodes(self) -> np.ndarray:
-        t = np.linspace(self.alpha, self.beta, self.m + 1)
+        try:
+            t = np.linspace(self.alpha, self.beta, self.m + 1)
+        except (MemoryError, ValueError):  # numpy's two ways to refuse a size
+            raise GridError(f"cannot allocate the {self.m + 1} nodes of m = {self.m}") from None
         if not (np.diff(t) > 0).all():
             raise GridError("grid nodes are not strictly increasing (m too large?)")
         t.flags.writeable = False

@@ -25,8 +25,11 @@ the kernel too, once per ``(grid, n_diag, use_dt)``, with read-only factor
 arrays, so the bound (``compute_B``) and the Picard oracle's
 ``DiscreteRhs`` share one sampling; a failed chain (None) is remembered
 as well.  Building and applying cost O(m * depth * rank) with no O(m^2)
-array, and a factor whose samples are all 1.0 (such as every factor of a
-constant kernel) is marked and skipped when the chain is applied.  The
+array.  Unit factors are structural: a slot that a term does not read
+gets the factor ``Num(1.0)`` from ``expr.separate`` (every factor of a
+constant kernel is one), and such a factor is never sampled or checked;
+it is None in the chain and skipped when the chain is applied.  Every
+other factor is evaluated once on the grid and checked as one row.  The
 chain is used only when
 every coefficient and every factor sample is finite and nonnegative, so
 the kernel is nonnegative and finite on the whole grid, and when each
@@ -92,6 +95,7 @@ SAFE_LOG2 = 600.0
 MAX_ITERATED_KERNELS = 4
 
 _ALIASES = {"s": "t1", "r": "t2"}
+_UNIT = Num(1.0)
 
 
 class KernelError(ValueError):
@@ -103,12 +107,14 @@ class NegativeKernelError(KernelError):
 
 
 def _canonical(e: Expr | str, arity: int, what: str) -> Expr:
+    """``e`` over t, t1..t<arity>, parsed when given as source; a tree
+    that reads no alias is kept as it is, not rebuilt."""
     names = {f"t{i}" for i in range(1, arity + 1)}
     aliases = {a: c for a, c in _ALIASES.items() if c in names}
     if isinstance(e, str):
         e = parse(e, {"t"} | names | set(aliases))
     e = rename_variables(e, aliases)
-    extra = free_variables(e) - {"t"} - names
+    extra = e.free - {"t"} - names
     if extra:
         raise KernelError(
             f"{what} of an arity-{arity} kernel uses {sorted(extra)}; "
@@ -133,28 +139,23 @@ class Kernel:
         if self.arity < 1:
             raise KernelError(f"kernel arity must be >= 1, got {self.arity}")
         object.__setattr__(self, "body", _canonical(self.body, self.arity, "body"))
+        # Memos, not fields: expr.separate per (n_diag, use_dt) and
+        # kernels._chain per (grid, n_diag, use_dt).
+        object.__setattr__(self, "_plans", {})
+        object.__setattr__(self, "_chains", {})
 
     @cached_property
     def dt_body(self) -> Expr:
         return derivative(self.body, "t")
 
-    @property
+    @cached_property
     def is_zero(self) -> bool:
         return self.body == Num(0.0)
 
-    @property
+    @cached_property
     def dt_is_zero(self) -> bool:
         """True when d/dt is structurally zero (t never occurs in the body)."""
         return self.dt_body == Num(0.0)
-
-    @cached_property
-    def _plans(self) -> dict:
-        return {}
-
-    @cached_property
-    def _chains(self) -> dict:
-        """``kernels._chain`` per ``(grid, n_diag, use_dt)``."""
-        return {}
 
     def _separated(self, n_diag: int, use_dt: bool = False):
         """``(slots, expr.separate(...))`` of the term with the first ``n_diag``
@@ -359,8 +360,8 @@ def _sum_term_maps(terms, g: Grid) -> tuple:
 class _Part(NamedTuple):
     """One rank-one part ``coef * f0 * cumtrap(f1 * cumtrap(... fd * w))`` of
     a chain.  ``coef`` is None when it is 1.0, ``outer`` is ``f0`` and
-    ``inner`` is ``(fd, ..., f1)``, innermost first; a factor whose samples
-    are all 1.0 is None, because multiplying by it changes no bit."""
+    ``inner`` is ``(fd, ..., f1)``, innermost first; a unit factor is
+    None, never sampled, as multiplying by 1.0 would change no bit."""
 
     coef: float | None
     outer: np.ndarray | None
@@ -420,19 +421,39 @@ def _sample_chain(k: Kernel, g: Grid, n_diag: int, use_dt: bool) -> _Chain | Non
     for coef, factors in terms:
         if not 0.0 <= coef < np.inf:
             return None
-        fs = np.empty((len(slots), g.m + 1))
+        rows = []
+        spans = np.zeros(len(slots))
         for i, v in enumerate(slots):
-            fs[i] = expr_mod.evaluate(factors[v], {v: T})
-        if not (np.isfinite(fs).all() and (fs >= 0).all()):
+            f = factors[v]
+            if f == _UNIT:
+                rows.append(None)
+                continue
+            row = expr_mod.evaluate(f, {v: T})
+            span = _log2_span(row)
+            if span is None:
+                return None
+            spans[i] = span
+            row.flags.writeable = False
+            rows.append(row)
+        if spans.sum() + (abs(np.log2(coef)) if coef > 0 else 0.0) > SAFE_LOG2:
             return None
-        logs = np.abs(np.log2(fs, out=np.zeros_like(fs), where=fs > 0))
-        span = logs.max(axis=1).sum() + (abs(np.log2(coef)) if coef > 0 else 0.0)
-        if span > SAFE_LOG2:
-            return None
-        fs.flags.writeable = False
-        rows = [None if unit else f for f, unit in zip(fs, (fs == 1.0).all(axis=1))]
         parts.append(_Part(None if coef == 1.0 else coef, rows[0], tuple(rows[:0:-1])))
     return _Chain(tuple(parts))
+
+
+def _log2_span(row: np.ndarray) -> float | None:
+    """``max |log2 x|`` over the positive samples ``x`` of a factor (0.0
+    when there are none), or None unless every sample is finite and
+    nonnegative.  ``|log2|`` falls to 1 and rises after it, so the largest
+    and the least positive samples attain the maximum."""
+    hi, lo = row.max(), row.min()
+    if not (lo >= 0.0 and hi < np.inf):  # NaN fails too
+        return None
+    if lo == 0.0:
+        lo = row.min(where=row > 0.0, initial=np.inf)
+        if lo == np.inf:
+            return 0.0
+    return max(abs(np.log2(hi)), abs(np.log2(lo)))
 
 
 def _simplex_term(

@@ -24,8 +24,8 @@ A chain is the one the bound already sampled on the same grid (the
 At the suite's m = 256 a sweep costs a few dozen numpy calls on short
 arrays, so call overhead, not arithmetic, sets its price.  A sweep is
 therefore one pass under one ``errstate``: each chain's rank-one parts
-applied in turn, factors of all 1.0 skipped (``1.0 * x == x`` bit for
-bit), the theorem's tail picked once per operator, and every temporary
+applied in turn, unit factors skipped (``1.0 * x == x`` bit for bit),
+the theorem's tail picked once per operator, and every temporary
 updated in place.  ``picard_extremal`` keeps its own bookkeeping to one
 escape test and an in-place ``delta`` per sweep.
 """
@@ -106,8 +106,8 @@ class DiscreteRhs:
     (see ``kernels``), the same read-only chain that the bound used on
     this grid; the others sum to ``A @ w`` plus the running trapezoid sum
     of ``C . w``, with ``A`` and ``C`` assembled here once (either may be
-    None).  A call applies each chain's rank-one parts, skipping factors
-    and coefficients of exactly 1.0, and sums them per chain in the
+    None).  A call applies each chain's rank-one parts, skipping unit
+    factors and coefficients of exactly 1.0, and sums them per chain in the
     chain's order, so a rank > 1 chain adds up as it does in the bound.
     It holds no per-operator array: the datum comes from the instance's
     cached ``a_values``, and ``nan_from`` is read at call time.

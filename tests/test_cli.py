@@ -484,6 +484,19 @@ class TestExitCodes:
         cfg = write(tmp_path, "bad.cfg", text)
         assert cli.main(["bound", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("command", ["bound", "convergence"])
+    @pytest.mark.parametrize("m", [10**18, 10**19])
+    def test_oversized_grid_exit_2(self, tmp_path, capsys, m, command):
+        # numpy refuses both node arrays before touching memory: 10^18 + 1
+        # nodes with a MemoryError, 10^19 + 1 (past its largest array
+        # size) with a ValueError.
+        cfg = write(tmp_path, "big.cfg", RICCATI_CONFIG.replace("m = 1024", f"m = {m}"))
+        out = tmp_path / "out.csv"
+        assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot allocate the {m + 1} nodes of m = {m}\n"
+        assert not out.exists()
+
 
 # Kernels that decrease in t: the bounds that integrate dk/dt through Q
 # (cor35, thm34, thm24) do not hold for them, and the extremal exceeds

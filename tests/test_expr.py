@@ -1,5 +1,9 @@
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -18,9 +22,11 @@ from gronwall.expr import (
     evaluate,
     free_variables,
     parse,
+    rename_variables,
     separate,
     to_source,
 )
+from gronwall.kernels import Kernel
 
 
 def ev(source, allowed=("t", "s", "r"), **bindings):
@@ -304,3 +310,87 @@ def test_separate_one_variable_subtree_is_one_factor():
 def test_separate_names_the_variables():
     with pytest.raises(ValueError, match="'r'"):
         separate(parse("t*r", VARS), ("t", "s"))
+
+
+def _walk_free(e):
+    """Free variables by a fresh recursive walk."""
+    if isinstance(e, Num):
+        return frozenset()
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    if isinstance(e, Neg):
+        return _walk_free(e.operand)
+    if isinstance(e, Call):
+        return _walk_free(e.arg)
+    return _walk_free(e.left) | _walk_free(e.right)
+
+
+def _rebuild(e):
+    """A structurally identical copy made of fresh nodes."""
+    if isinstance(e, Num):
+        return Num(e.value)
+    if isinstance(e, Var):
+        return Var(e.name)
+    if isinstance(e, Neg):
+        return Neg(_rebuild(e.operand))
+    if isinstance(e, Call):
+        return Call(e.func, _rebuild(e.arg))
+    return BinOp(e.op, _rebuild(e.left), _rebuild(e.right))
+
+
+def _subtrees(e):
+    yield e
+    for child in (getattr(e, name, None) for name in ("operand", "arg", "left", "right")):
+        if child is not None:
+            yield from _subtrees(child)
+
+
+def test_node_memos_never_go_stale():
+    """Every node's free variables and hash, cached when it is made, agree
+    with a fresh walk and with a rebuilt copy: on random trees, their
+    renamings, t-derivatives and separated factors, and after pickling."""
+    rng = random.Random(20240811)
+    hashes = set()
+    checked = 0
+    for _ in range(500):
+        node = _random_ast(rng, depth=4)
+        trees = [node, rename_variables(node, {"s": "t1", "r": "t2"}), derivative(node, "t")]
+        trees += [f for _, fs in separate(node, VARS) or [] for f in fs.values()]
+        trees.append(pickle.loads(pickle.dumps(node)))
+        for tree in trees:
+            for sub in _subtrees(tree):
+                copy = _rebuild(sub)
+                assert free_variables(sub) == _walk_free(sub)
+                assert sub == copy and hash(sub) == hash(copy)
+                assert {copy: 1}[sub] == 1
+                hashes.add(hash(sub))
+                checked += 1
+    assert checked > 5000 and len(hashes) > 1000
+
+
+def test_kernel_aliases_give_the_canonical_body():
+    rng = random.Random(7)
+    for _ in range(300):
+        node = _random_ast(rng, depth=4)
+        canonical = rename_variables(node, {"s": "t1", "r": "t2"})
+        aliased = Kernel(2, to_source(node)).body
+        assert aliased == Kernel(2, to_source(canonical)).body
+        assert hash(aliased) == hash(canonical) and free_variables(aliased) <= {"t", "t1", "t2"}
+
+
+def test_pickled_node_hashes_afresh_in_another_interpreter():
+    # A string's hash differs between interpreters, so an unpickled node
+    # must not keep the hash it was made with.
+    src_dir = os.path.dirname(os.path.dirname(expr.__file__))
+    code = (
+        "import pickle, sys; from gronwall.expr import parse; "
+        "e = pickle.loads(sys.stdin.buffer.read()); "
+        "print({parse('t*exp(-s) + r', 'tsr'): 'found'}.get(e))"
+    )
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code], input=pickle.dumps(parse("t*exp(-s) + r", VARS)),
+            capture_output=True, env={**os.environ, "PYTHONPATH": src_dir, "PYTHONHASHSEED": seed},
+            timeout=60,
+        )
+        assert proc.stdout.decode().strip() == "found", proc.stderr.decode()

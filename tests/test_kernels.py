@@ -536,6 +536,92 @@ class TestChainCache:
         assert out is not w and np.array_equal(out, w)
 
 
+def _stacked_chain(k, g, n_diag, use_dt=False):
+    """Reference sampler: every factor of a term evaluated, stacked into one
+    array and checked as a whole.  Returns ``[(coef, rows)]`` or None."""
+    plan = k._separated(n_diag, use_dt)
+    if plan is None:
+        return None
+    slots, terms = plan
+    parts = []
+    for coef, factors in terms:
+        if not 0.0 <= coef < np.inf:
+            return None
+        fs = np.empty((len(slots), g.m + 1))
+        for i, v in enumerate(slots):
+            fs[i] = evaluate(factors[v], {v: g.nodes})
+        if not (np.isfinite(fs).all() and (fs >= 0).all()):
+            return None
+        logs = np.abs(np.log2(fs, out=np.zeros_like(fs), where=fs > 0))
+        span = logs.max(axis=1).sum() + (abs(np.log2(coef)) if coef > 0 else 0.0)
+        if span > kernels.SAFE_LOG2:
+            return None
+        parts.append((coef, fs))
+    return parts
+
+
+class TestChainSampling:
+    """The sampler against the stacked reference: the same decision and the
+    same factor rows, with a unit factor (None) standing for a row of 1.0."""
+
+    def assert_matches_reference(self, k, g, n_diag=0, use_dt=False):
+        chain = kernels._chain(k, g, n_diag, use_dt)
+        want = _stacked_chain(k, g, n_diag, use_dt)
+        assert (chain is None) == (want is None), k.body
+        if chain is None:
+            return None
+        assert len(chain.parts) == len(want)
+        ones = np.ones(g.m + 1)
+        for (coef, outer, inner), (want_coef, rows) in zip(chain.parts, want):
+            assert (1.0 if coef is None else coef) == want_coef
+            got = [outer, *inner[::-1]]
+            for f, row in zip(got, rows):
+                assert np.array_equal(ones if f is None else f, row)
+        return chain
+
+    @pytest.mark.parametrize("body,units", [
+        ("0.61", [True, True, True]),
+        ("0.3*t^2*(1 + r)", [False, True, False]),  # s is not read
+    ])
+    def test_structural_unit_slots_are_not_sampled(self, body, units):
+        chain = self.assert_matches_reference(Kernel(2, body), Grid(0, 1, 16))
+        (part,) = chain.parts
+        assert [f is None for f in (part.outer, *part.inner[::-1])] == units
+
+    def test_all_ones_factor_is_sampled(self):
+        # t^0 is 1.0 everywhere but not the structural unit, so it is kept.
+        g = Grid(0, 1, 16)
+        chain = self.assert_matches_reference(Kernel(1, "t^0*s"), g)
+        (part,) = chain.parts
+        assert np.array_equal(part.outer, np.ones(g.m + 1))
+
+    @pytest.mark.parametrize("body,accepted", [("t*exp(-s)", True), ("t^100*exp(-300*s)", False)])
+    def test_factor_with_zero_samples(self, body, accepted):
+        # t is 0 at node 0, so its span comes from the least positive
+        # sample: (1/16)^100 = 2^-400, past SAFE_LOG2 with the 433 of
+        # exp(-300*s).
+        chain = self.assert_matches_reference(Kernel(1, body), Grid(0, 1, 16))
+        assert (chain is not None) == accepted
+
+    @pytest.mark.parametrize("body", ["(t - 2)*s", "log(t)*s", "s/(t - 0.5)", "(t - 2)^0.5*s"])
+    def test_negative_or_non_finite_factor_is_rejected(self, body):
+        assert self.assert_matches_reference(Kernel(1, body), Grid(0, 1, 16)) is None
+
+    @pytest.mark.parametrize("beta,accepted", [(0.5, True), (1.0, False)])
+    def test_span_past_the_safe_range_is_rejected(self, beta, accepted):
+        # Each factor spans 300 beta log2(e): 433 in all at beta = 0.5,
+        # 866 at beta = 1.
+        k = Kernel(1, "exp(300*t)*exp(-300*s)")
+        chain = self.assert_matches_reference(k, Grid(0, beta, 16))
+        assert (chain is not None) == accepted
+
+    @settings(max_examples=100, deadline=None)
+    @given(separable_terms(), st.integers(3, 8))
+    def test_random_separable_terms(self, term, m):
+        body, arity, n_diag, use_dt = term
+        self.assert_matches_reference(Kernel(arity, body), Grid(0.2, 1.3, m), n_diag, use_dt)
+
+
 # Every kernel of `oracle.random_instance` and of the benchmark's refine and
 # iterated families, written out: each must run as a chain, since a silent
 # fallback to the dense maps brings back O(m^2) memory and O(m^3) time.
