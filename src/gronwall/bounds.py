@@ -148,7 +148,8 @@ def _check_positive(f: GridFunction, name: str) -> None:
 
 
 def _check_nondecreasing(f: GridFunction, name: str) -> None:
-    diffs = np.diff(f.values)
+    v = f.values
+    diffs = v[1:] - v[:-1]
     bad = diffs < MONOTONE_TOL
     if bad.any():
         j = int(np.argmax(bad))

@@ -83,6 +83,13 @@ DT_CHECK_RTOL = 1e-9
 # levels are dominated by the pole, not by quadrature order.
 HORIZON_GUARD = 0.9
 
+# The finest grid `convergence` may reach through --levels, m * 2^(levels-1).
+# 2^22 is 512 times the largest m the benchmark's long_grid runs (8192).  One
+# node array there is 32 MiB: a 3-level thm32 study with a separable kernel
+# peaks near 90 MB at a finest m of 2^19, so about 0.5 GB at the cap, while a
+# few levels more reach tens of GB and the process is killed without a word.
+MAX_CONVERGENCE_M = 2**22
+
 
 class ConfigError(ValueError):
     def __init__(self, message: str, line: int | None = None):
@@ -418,6 +425,17 @@ def cmd_convergence(cfg: ScenarioConfig, levels: int, out_path: str | None) -> i
         raise ConfigError("convergence needs at least 2 levels")
     if cfg.m is None:
         raise ConfigError("[grid] m is required")
+    # Past 64 doublings any m is over the cap, so the shift stays small.
+    doublings = levels - 1
+    if doublings > 64 or cfg.m << doublings > MAX_CONVERGENCE_M:
+        if cfg.m > MAX_CONVERGENCE_M and None not in (cfg.alpha, cfg.beta):
+            # The config's own grid is past the cap: a size numpy cannot
+            # allocate is refused by Grid, as for `bound`, before --levels.
+            Grid(cfg.alpha, cfg.beta, cfg.m).nodes
+        raise ConfigError(
+            f"--levels {levels} takes the finest level to m = {cfg.m} * 2^{doublings}; "
+            f"at most m = {MAX_CONVERGENCE_M} is allowed"
+        )
     results = []
     for i in range(levels):
         level_cfg = dataclasses.replace(cfg, m=cfg.m * 2**i)

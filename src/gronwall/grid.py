@@ -8,6 +8,7 @@ where values live.  Grids and grid functions are immutable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,7 +48,7 @@ class Grid:
     m: int
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise GridError("grid endpoints must be finite")
         if not self.alpha < self.beta:
             raise GridError(f"need alpha < beta, got [{self.alpha}, {self.beta}]")
@@ -64,7 +65,7 @@ class Grid:
             t = np.linspace(self.alpha, self.beta, self.m + 1)
         except (MemoryError, ValueError):  # numpy's two ways to refuse a size
             raise GridError(f"cannot allocate the {self.m + 1} nodes of m = {self.m}") from None
-        if not (np.diff(t) > 0).all():
+        if not (t[1:] > t[:-1]).all():
             raise GridError("grid nodes are not strictly increasing (m too large?)")
         t.flags.writeable = False
         return t

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundResult, HypothesisError, ProblemInstance, compute_bound
-from .expr import free_variables
+from .expr import BinOp, Num, free_variables, parse
 from .grid import Grid, GridFunction, _running_trapezoid_raw
 from .kernels import Kernel, KernelSet, _apply_parts, _chain, _sum_term_maps
 
@@ -388,6 +388,9 @@ _SUITE_P = {
     "thm33": (0.0, 0.5, 2.0, 3.0),
     "cor35": (0.0, 0.5, 2.0, 3.0),
 }
+# The double kernels' shapes, times c2 in random_instance.
+_DECAYING = parse("exp(-(t-t1))", {"t", "t1"})
+_GROWING = parse("exp(t-t1)", {"t", "t1"})
 
 
 def random_instance(theorem: str, seed: int, m: int = 256) -> ProblemInstance:
@@ -399,20 +402,26 @@ def random_instance(theorem: str, seed: int, m: int = 256) -> ProblemInstance:
     from the family's admissible subset of {0, 0.5, 2, 3}.  cor35 needs a
     nonnegative kernel t-derivative, so its double kernel is c2 exp(t-s),
     whose derived t-derivative is the kernel itself.
+
+    The kernels are built as trees around templates parsed once, at
+    import: the same trees that parsing ``f"{c2!r}*exp(-(t-s))"`` and
+    ``repr(c3)`` gives, without the parse.
     """
     if theorem not in _SUITE_P:
         raise ValueError(f"no random family for {theorem!r}")
     rng = np.random.default_rng(seed)
-    c = [float(x) for x in rng.uniform(0.0, 1.0, 6)]
-    p = float(rng.choice(_SUITE_P[theorem]))
+    c = rng.uniform(0.0, 1.0, 6).tolist()
+    ps = _SUITE_P[theorem]
+    p = ps[rng.choice(len(ps))]  # the draw rng.choice(ps) makes
     g = Grid(0.0, 1.0, m)
     T = g.nodes
     b = GridFunction(g, c[0] + c[1] * T)
-    h = Kernel(2, repr(c[3]))
+    h = Kernel(2, Num(c[3]))
     if theorem == "cor35":
-        kernels = KernelSet.pair(Kernel(1, f"{c[2]!r}*exp(t-s)"), h)
+        k = Kernel(1, BinOp("*", Num(c[2]), _GROWING))
+        kernels = KernelSet.pair(k, h)
         return ProblemInstance("cor35", p, g, a_const=c[4], kernels=kernels)
-    k = Kernel(1, f"{c[2]!r}*exp(-(t-s))")
+    k = Kernel(1, BinOp("*", Num(c[2]), _DECAYING))
     kernels = KernelSet.pair(k, h)
     if theorem in ("thm22", "thm33"):
         a_fn = GridFunction(g, c[4] + c[5] * T)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -496,6 +497,45 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"error: cannot allocate the {m + 1} nodes of m = {m}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("m,levels,finest", [
+        (1000, 60, "1000 * 2^59"),
+        (2**20, 4, "1048576 * 2^3"),
+        (1, 10**6, "1 * 2^999999"),
+        (2**22 + 1, 60, "4194305 * 2^59"),
+    ])
+    def test_convergence_levels_past_the_cap_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                    m, levels, finest):
+        # Refused before any level is built.  A config m past the cap itself
+        # (the last case) only has its nodes allocated, and is still refused.
+        def build(cfg):
+            raise AssertionError(f"level built at m = {cfg.m}")
+
+        monkeypatch.setattr(cli.ScenarioConfig, "build_instance", build)
+        cfg = write(tmp_path, "c.cfg", RICCATI_CONFIG.replace("m = 1024", f"m = {m}"))
+        out = tmp_path / "out.csv"
+        start = time.perf_counter()
+        rc = cli.main(["convergence", "--config", cfg, "--levels", str(levels),
+                       "--out", str(out)])
+        assert time.perf_counter() - start < 0.5
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: --levels {levels} takes the finest level to m = {finest}; "
+                       f"at most m = {cli.MAX_CONVERGENCE_M} is allowed\n")
+        assert not out.exists()
+
+    def test_convergence_levels_up_to_the_cap_run(self, tmp_path, monkeypatch):
+        # m * 2^(levels-1) = 2^22 exactly is allowed through to the first level.
+        built = []
+
+        def build(cfg):
+            built.append(cfg.m)
+            raise ConfigError("stop")
+
+        monkeypatch.setattr(cli.ScenarioConfig, "build_instance", build)
+        cfg = write(tmp_path, "c.cfg", RICCATI_CONFIG.replace("m = 1024", f"m = {2**20}"))
+        assert cli.main(["convergence", "--config", cfg, "--levels", "3"]) == 2
+        assert built == [2**20]
 
 
 # Kernels that decrease in t: the bounds that integrate dk/dt through Q

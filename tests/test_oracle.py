@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance
-from gronwall import kernels, oracle
+from gronwall import expr, kernels, oracle
 from gronwall.bounds import BoundResult, HypothesisError, compute_bound, thm32_bound
 from gronwall.grid import Grid, GridFunction, constant
-from gronwall.kernels import KernelError, NegativeKernelError
+from gronwall.kernels import Kernel, KernelError, NegativeKernelError
 from gronwall.oracle import (
     DiscreteRhs,
     DominanceReport,
@@ -266,6 +266,34 @@ class TestRandomFamily:
         assert case.seed == 3
         assert case.p in (0.0, 0.5, 2.0, 3.0)
         assert isinstance(case.passed, bool)
+
+    @pytest.mark.parametrize("theorem", oracle.SUITE_FAMILIES)
+    def test_kernels_and_p_are_those_of_the_source_strings(self, theorem):
+        # The instance is built from templates parsed once; its trees must
+        # be the ones that parsing the coefficients' repr gives, and p the
+        # one rng.choice over the family's exponents draws.
+        shape = "exp(t-s)" if theorem == "cor35" else "exp(-(t-s))"
+        ps = oracle._SUITE_P[theorem]
+        for seed in range(200):
+            inst = random_instance(theorem, seed, m=4)
+            rng = np.random.default_rng(seed)
+            c = [float(x) for x in rng.uniform(0.0, 1.0, 6)]
+            p = float(rng.choice(ps))
+            k, h = Kernel(1, f"{c[2]!r}*{shape}"), Kernel(2, repr(c[3]))
+            assert inst.kernels.k.body == k.body, (theorem, seed)
+            assert inst.kernels.h.body == h.body, (theorem, seed)
+            assert hash(inst.kernels.k.body) == hash(k.body)
+            assert hash(inst.kernels.h.body) == hash(h.body)
+            assert type(inst.p) is float and inst.p == p, (theorem, seed)
+
+    def test_makes_no_parse_call(self, monkeypatch):
+        def parse(*args):
+            raise AssertionError(f"parse{args}")
+
+        for module in (expr, kernels, oracle):
+            monkeypatch.setattr(module, "parse", parse)
+        for theorem in oracle.SUITE_FAMILIES:
+            random_instance(theorem, 42, m=8)
 
 
 class TestDominanceRegression:
