@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import Grid, GridFunction, _running_trapezoid_raw, cumulative_trapezoid
-from .kernels import Kernel, KernelSet, apply_Q, apply_R, compute_B
+from .kernels import NONNEG_TOL, Kernel, KernelSet, apply_Q, apply_R, compute_B
 
 __all__ = [
     "HorizonKind",
@@ -64,8 +64,6 @@ __all__ = [
     "cor35_bound",
     "compute_bound",
 ]
-
-MONOTONE_TOL = -1e-12
 
 THEOREMS = ("bykov", "thm22", "thm23", "thm24", "thm32", "thm33", "thm34", "cor35")
 
@@ -132,7 +130,7 @@ def detect_horizon(bracket: GridFunction):
 
 
 def _check_nonneg(f: GridFunction, name: str) -> None:
-    bad = f.values < MONOTONE_TOL
+    bad = f.values < NONNEG_TOL
     if bad.any():
         j = int(np.argmax(bad))
         raise HypothesisError(
@@ -150,7 +148,7 @@ def _check_positive(f: GridFunction, name: str) -> None:
 def _check_nondecreasing(f: GridFunction, name: str) -> None:
     v = f.values
     diffs = v[1:] - v[:-1]
-    bad = diffs < MONOTONE_TOL
+    bad = diffs < NONNEG_TOL
     if bad.any():
         j = int(np.argmax(bad))
         raise HypothesisError(

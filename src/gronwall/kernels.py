@@ -37,16 +37,14 @@ term's factors multiply to within ``2^(+-SAFE_LOG2)`` (``e^(+-t)``
 factors overflow past |t| ~ 709, and tiny factors lose precision as
 subnormals).
 
-Every other term is assembled densely, as a lower-triangular map of one
-of three shapes:
-
-- a diagonal ``d`` (depth 0): ``term(w) = d * w``; O(m) to build;
-- a matrix ``A`` (the kernel reads ``t`` or a pinned slot):
-  ``term(w) = A @ w``; O(m^2) memory, O(m^(depth+1)) to build;
-- an inner map ``C`` followed by a running trapezoid sum (the kernel
-  ignores ``t`` and the pinned slots): ``term(w) =
-  cumulative_trapezoid(C @ w)``; ``C`` is a diagonal at depth 1 and a
-  matrix costing O(m^depth) to build otherwise.
+Every other term is assembled densely, by one shape rule.  A term that
+integrates at least one slot and reads neither ``t`` nor a pinned slot
+depends on the outer node only through the upper limit of its outermost
+integral, so it is ``cumulative``: its map is the running trapezoid sum
+of the same term with its first integrated slot pinned as well.  What is
+left to build is a depth-0 term, a diagonal of samples (O(m)), or a
+lower-triangular matrix of nested trapezoid weights (O(m^2) memory,
+O(m^(depth+1)) to build, depth counting the slots still integrated).
 
 Applying a dense map costs O(m) or one O(m^2) mat-vec.  The dense path
 checks the samples of the body and of the t-derivative alike: they must be
@@ -61,21 +59,13 @@ summed by ``_sum_term_maps``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
 
 from . import expr as expr_mod
-from .expr import (
-    Expr,
-    Num,
-    derivative,
-    free_variables,
-    parse,
-    rename_variables,
-    separate,
-)
+from .expr import Expr, Num, derivative, parse, rename_variables, separate
 from .grid import Grid, GridFunction, _running_trapezoid, _running_trapezoid_raw
 
 __all__ = [
@@ -218,41 +208,31 @@ class KernelSet:
             raise KernelError(f"expected a {form!r} kernel set, got {self.form!r}")
 
 
-class _TermEvaluator:
-    """Evaluates a kernel body (or its t-derivative) on broadcast node arrays."""
-
-    def __init__(self, k: Kernel, use_dt: bool, label: str):
-        self.expr = k.dt_body if use_dt else k.body
-        self.use_dt = use_dt
-        self.label = label
-        self.vars_used = free_variables(self.expr)
-
-    def values(self, ctx: dict, node: int | None = None) -> np.ndarray:
-        """Samples on the broadcast shape of ``ctx``, checked finite and
-        nonnegative.  A matrix keeps only the simplex part (inner <= outer),
-        so unused entries (possibly NaN for kernels like sqrt(t-s)) cannot
-        leak into the sums.  ``node`` is the outer node a nested sample
-        belongs to; a derivative error names it (else the sample's row)."""
-        shape = np.broadcast_shapes(*(np.shape(v) for v in ctx.values()))
-        vals = np.broadcast_to(np.asarray(expr_mod.evaluate(self.expr, ctx)), shape)
-        if len(shape) == 2:
-            vals = np.tril(vals)
-        self._check(vals, node)
+def _samples(
+    e: Expr, ctx: dict, what: str, use_dt: bool, node: int | None = None
+) -> np.ndarray:
+    """Samples of ``e`` on the broadcast shape of ``ctx``, checked finite and
+    nonnegative.  A matrix keeps only the simplex part (inner <= outer), so
+    unused entries (possibly NaN for kernels like sqrt(t-s)) cannot leak
+    into the sums.  An error names kernel ``what``; for a t-derivative
+    (``use_dt``) it names the outer node, ``node`` when a nested sample
+    belongs to one, else the sample's row."""
+    shape = np.broadcast_shapes(*(np.shape(v) for v in ctx.values()))
+    vals = np.broadcast_to(np.asarray(expr_mod.evaluate(e, ctx)), shape)
+    if len(shape) == 2:
+        vals = np.tril(vals)
+    finite = bool(np.isfinite(vals).all())
+    bad = ~np.isfinite(vals) if not finite else vals < NONNEG_TOL
+    if not bad.any():
         return vals
-
-    def _check(self, vals: np.ndarray, node: int | None) -> None:
-        finite = bool(np.isfinite(vals).all())
-        bad = ~np.isfinite(vals) if not finite else vals < NONNEG_TOL
-        if not bad.any():
-            return
-        idx = tuple(int(i) for i in np.argwhere(bad)[0])
-        what = "non-finite" if not finite else f"negative ({vals[idx]:.6e})"
-        if self.use_dt:
-            at = idx[0] if node is None else node
-            msg = f"d/dt of kernel {self.label} is {what} at node {at}"
-        else:
-            msg = f"kernel {self.label} is {what} at node index {idx}"
-        raise (KernelError if not finite else NegativeKernelError)(msg)
+    idx = tuple(int(i) for i in np.argwhere(bad)[0])
+    how = "non-finite" if not finite else f"negative ({vals[idx]:.6e})"
+    if use_dt:
+        at = idx[0] if node is None else node
+        msg = f"d/dt of kernel {what} is {how} at node {at}"
+    else:
+        msg = f"kernel {what} is {how} at node index {idx}"
+    raise (KernelError if not finite else NegativeKernelError)(msg)
 
 
 class _TermMap(NamedTuple):
@@ -272,29 +252,8 @@ class _TermMap(NamedTuple):
         return out
 
 
-def _trapezoid_rows(vals: np.ndarray, dt: float) -> np.ndarray:
-    """Scale row ``x`` of a lower-triangular matrix by the trapezoid weights
-    of an integral up to node ``x``, in place.
-
-    Row 0 is multiplied by zero (an integral over a single node vanishes),
-    so a non-finite sample there still shows in the result, as NaN.
-    """
-    with np.errstate(invalid="ignore"):
-        vals *= dt
-        vals[:, 0] *= 0.5
-        idx = np.arange(len(vals))
-        vals[idx, idx] *= 0.5
-        vals[0, 0] *= 0.0
-    return vals
-
-
 def _nested_rows(
-    ev: _TermEvaluator,
-    g: Grid,
-    outer: list,
-    ints: list,
-    fixed: dict,
-    n: int,
+    sample, g: Grid, outer: list, ints: list, fixed: dict, n: int,
     node: int | None = None,
 ) -> np.ndarray:
     """Weights of the nested trapezoid rule for the outer nodes ``x < n``.
@@ -302,7 +261,9 @@ def _nested_rows(
     Row ``x`` holds the weights on ``w`` of the iterated integral of the
     kernel over ``T[x] >= ints[0] >= ... >= ints[-1]``, with the ``outer``
     slots at ``T[x]``, the slots in ``fixed`` held and ``w`` at the
-    innermost slot.  The last two variables are sampled as one matrix;
+    innermost slot; ``sample(ctx, node=...)`` gives checked samples.  The
+    last two variables are sampled as one matrix, whose row ``x`` takes
+    the trapezoid weights of an integral up to node ``x`` (row 0 vanishes);
     deeper levels recurse one node at a time, passing down the top-level
     row as ``node``.
     """
@@ -310,13 +271,22 @@ def _nested_rows(
     if len(ints) == 1:
         col = T[:, None]
         ctx = {**fixed, **{name: col for name in outer}, ints[0]: T[None, :]}
-        return _trapezoid_rows(ev.values(ctx, node), g.dt)
+        rows = sample(ctx, node=node)
+        with np.errstate(invalid="ignore"):
+            rows *= g.dt
+            rows[:, 0] *= 0.5
+            idx = np.arange(n)
+            rows[idx, idx] *= 0.5
+            rows[0, 0] *= 0.0
+        return rows
     rows = np.zeros((n, n))
     for x in range(1, n):
         at = {**fixed, **{name: T[x] for name in outer}}
         weights = np.full(x + 1, g.dt)
         weights[[0, x]] = g.dt / 2.0
-        inner = _nested_rows(ev, g, ints[:1], ints[1:], at, x + 1, x if node is None else node)
+        inner = _nested_rows(
+            sample, g, ints[:1], ints[1:], at, x + 1, x if node is None else node
+        )
         rows[x, : x + 1] = weights @ inner
     return rows
 
@@ -325,20 +295,17 @@ def _term_map(
     k: Kernel, g: Grid, n_diag: int, use_dt: bool = False, label: str = "kernel"
 ) -> _TermMap:
     """Assemble the linear map in ``w`` of one kernel term (see the module
-    docstring for its three shapes)."""
-    T = g.nodes
-    ev = _TermEvaluator(k, use_dt, label)
+    docstring for its shape rule)."""
+    e = k.dt_body if use_dt else k.body
+    sample = partial(_samples, e, what=label, use_dt=use_dt)
     names = [f"t{i}" for i in range(1, k.arity + 1)]
     pinned, ints = ["t", *names[:n_diag]], names[n_diag:]
+    cumulative = bool(ints) and not e.free & set(pinned)
+    if cumulative:  # a running sum of the term with ints[0] pinned
+        pinned, ints = [*pinned, ints[0]], ints[1:]
     if not ints:
-        return _TermMap(ev.values({name: T for name in pinned}), False)
-    if ev.vars_used & set(pinned):
-        return _TermMap(_nested_rows(ev, g, pinned, ints, {}, g.m + 1), False)
-    # The outermost integral then depends on the outer node only through
-    # its upper limit: it is a running sum over ints[0].
-    if len(ints) == 1:
-        return _TermMap(ev.values({ints[0]: T}), True)
-    return _TermMap(_nested_rows(ev, g, ints[:1], ints[1:], {}, g.m + 1), True)
+        return _TermMap(sample({name: g.nodes for name in pinned}), cumulative)
+    return _TermMap(_nested_rows(sample, g, pinned, ints, {}, g.m + 1), cumulative)
 
 
 def _sum_term_maps(terms, g: Grid) -> tuple:

@@ -447,11 +447,24 @@ def dominance_case(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> SuiteCase:
-    """Run one random instance end to end: bound, Picard extremal, dominance."""
+    """Run one random instance end to end: bound, Picard extremal, dominance.
+
+    Raises :class:`OracleError` when Picard ran out of sweeps with node 0
+    alone converged below a later horizon, as ``gronwall verify`` does:
+    such a comparison would certify nothing.
+    """
     inst = random_instance(theorem, seed, m)
     br = compute_bound(inst)
     outcome = picard_extremal(inst, tol=tol, max_iter=max_iter)
     report = verify_dominance(outcome.u, br, outcome.conv_node)
+    stalled = outcome.status is PicardStatus.MAX_ITER
+    if stalled and report.compare_node == 0 < br.horizon_node:
+        raise OracleError(
+            f"{theorem} seed {seed}: Picard converged on node 0 alone "
+            f"(picard={outcome.status.value} iterations={outcome.iterations}) while "
+            f"the horizon lies at node {br.horizon_node}: the comparison would "
+            "certify nothing"
+        )
     return SuiteCase(
         seed=seed,
         p=inst.p,

@@ -221,6 +221,20 @@ class TestCommands:
         assert rows[0][2] == "PASS"
         assert rows[0][-2:] == ["diverged", "0"]
 
+    def test_suite_refuses_a_max_iter_pass_over_node_zero(self, tmp_path, capsys):
+        # One sweep leaves node 0 alone converged below the horizon at node
+        # 256; suite printed PASS for it, as verify no longer does.
+        text = "[problem]\ntheorem = thm32\n[oracle]\nmax_iter = 1\n"
+        cfg = write(tmp_path, "s.cfg", text)
+        out = tmp_path / "a.csv"
+        argv = ["suite", "--config", cfg, "--out", str(out), "--seed", "42", "--cases", "20"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: thm32 seed 42: Picard converged on node 0 alone ")
+        assert "picard=max_iter iterations=1" in err and "horizon lies at node 256" in err
+        assert not out.exists()
+
     def test_suite_rejects_non_family_theorem(self, tmp_path):
         text = "[problem]\ntheorem = thm24\nk1_expr = 1\n"
         cfg = write(tmp_path, "s.cfg", text)

@@ -395,6 +395,52 @@ class TestBruteForceReference:
             self.assert_close(got, ref, "exact")
 
 
+# Bodies that do not separate, so only the dense maps compute them: per
+# arity one reading t and one not.  Over every n_diag and use_dt they reach
+# the diagonal, the matrix and the running-sum shape.
+NON_SEPARABLE = [
+    (1, "(t-s)^1.5"),
+    (1, "exp(t*s)"),
+    (2, "1/(1+t*s*r)"),
+    (2, "(s-r)^1.5"),
+    (3, "exp(t*t1*t2*t3)"),
+    (3, "1/(1+t1*t2*t3)"),
+]
+
+
+class TestDenseMapReference:
+    """The dense maps of non-separable kernels against ``brute_term``."""
+
+    @pytest.mark.parametrize("arity, body", NON_SEPARABLE)
+    def test_term_map_matches_the_nested_rule(self, arity, body):
+        k = Kernel(arity, body)
+        assert k._separated(0) is None
+        for m in range(3, 7):
+            g = Grid(0.2, 1.3, m)
+            w = np.random.default_rng(m).uniform(0.2, 2.0, m + 1)
+            for n_diag in range(arity + 1):
+                for use_dt in (False, True):
+                    case = (m, n_diag, use_dt)
+                    ref = brute_term(k, w, g, n_diag, use_dt)
+                    if (ref < 0).any():
+                        # d/dt 1/(1+t*s*r) < 0: the map refuses to build
+                        with pytest.raises(NegativeKernelError, match="d/dt of kernel"):
+                            kernels._term_map(k, g, n_diag, use_dt)
+                        continue
+                    got = kernels._term_map(k, g, n_diag, use_dt).apply(w, g)
+                    assert (np.abs(got - ref) <= 1e-13 * np.abs(ref)).all(), case
+
+    def test_reference_cases_reach_every_shape(self):
+        g = Grid(0.2, 1.3, 4)
+        shapes = set()
+        for arity, body in NON_SEPARABLE:
+            k = Kernel(arity, body)
+            for n_diag in range(arity + 1):
+                tm = kernels._term_map(k, g, n_diag)
+                shapes.add((tm.inner.ndim, tm.cumulative))
+        assert shapes == {(1, False), (2, False), (2, True)}
+
+
 # --- separable kernels: chains of running sums against the dense maps ----
 
 # One-variable factors per slot.  Under use_dt only factors increasing in
