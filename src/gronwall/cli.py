@@ -357,6 +357,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _csv(header: str, *columns) -> str:
+    """CSV text: ``header``, then one row per index of the equal-length
+    float arrays ``columns``, each value printed as ``%.17g``, the text
+    that ``_fmt`` gives."""
+    row = ",".join(["%.17g"] * len(columns))
+    lines = [header, *(row % values for values in zip(*(c.tolist() for c in columns)))]
+    return "\n".join(lines) + "\n"
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -368,11 +377,8 @@ def _emit(text: str, out_path: str | None) -> None:
 def cmd_bound(cfg: ScenarioConfig, out_path: str | None) -> int:
     inst = cfg.build_instance()
     br = compute_bound(inst)
-    T = inst.grid.nodes
-    lines = ["t,bound"]
-    for j in range(br.horizon_node + 1):
-        lines.append(f"{_fmt(T[j])},{_fmt(br.bound.values[j])}")
-    _emit("\n".join(lines) + "\n", out_path)
+    n = br.horizon_node + 1
+    _emit(_csv("t,bound", inst.grid.nodes[:n], br.bound.values[:n]), out_path)
     return 0
 
 
@@ -391,13 +397,8 @@ def cmd_verify(cfg: ScenarioConfig, out_path: str | None) -> int:
     bvals = br.bound.values[: n + 1]
     uvals = outcome.u.values[: n + 1]
     passed = bool(((uvals - bvals) <= VERIFY_RTOL * (1.0 + bvals)).all())
-    T = inst.grid.nodes
-    lines = ["t,bound,extremal,margin"]
-    for j in range(n + 1):
-        b = br.bound.values[j]
-        u = outcome.u.values[j]
-        lines.append(f"{_fmt(T[j])},{_fmt(b)},{_fmt(u)},{_fmt(b - u)}")
-    _emit("\n".join(lines) + "\n", out_path)
+    T = inst.grid.nodes[: n + 1]
+    _emit(_csv("t,bound,extremal,margin", T, bvals, uvals, bvals - uvals), out_path)
     verdict = "PASS" if passed else "FAIL"
     print(
         f"{verdict} max_violation={_fmt(report.max_violation)} "

@@ -18,26 +18,44 @@ A separable term is a chain of running sums.  With the pinned slots
 folded into ``t``, ``expr.separate`` writes the kernel as a short sum of
 ``coef * f0(t) f1(x1) ... fd(xd)`` over the integrated slots ``x1..xd``,
 and the nested rule factors exactly into
-``term(w) = sum coef * f0 * cumtrap(f1 * cumtrap(... fd * w))``.  The
-separation does not depend on the grid, so a :class:`Kernel` computes it
-once per ``(n_diag, use_dt)`` and keeps it.  The sampled chain is kept on
-the kernel too, once per ``(grid, n_diag, use_dt)``, with read-only factor
-arrays, so the bound (``compute_B``) and the Picard oracle's
-``DiscreteRhs`` share one sampling; a failed chain (None) is remembered
-as well.  Building and applying cost O(m * depth * rank) with no O(m^2)
-array.  Unit factors are structural: a slot that a term does not read
-gets the factor ``Num(1.0)`` from ``expr.separate`` (every factor of a
-constant kernel is one), and such a factor is never sampled or checked;
-it is None in the chain and skipped when the chain is applied.  Every
-other factor is evaluated once on the grid and checked as one row.  The
-chain is used only when
-every coefficient and every factor sample is finite and nonnegative, so
-the kernel is nonnegative and finite on the whole grid, and when each
-term's factors multiply to within ``2^(+-SAFE_LOG2)`` (``e^(+-t)``
-factors overflow past |t| ~ 709, and tiny factors lose precision as
-subnormals).
+``term(w) = sum coef * f0 * cumtrap(f1 * cumtrap(... fd * w))``.  Building
+and applying cost O(m * depth * rank) with no O(m^2) array.  Unit factors
+are structural: a slot that a term does not read gets the factor
+``Num(1.0)`` from ``expr.separate`` (every factor of a constant kernel is
+one), and such a factor is never sampled or checked; it is None in the
+chain and skipped when the chain is applied.  Every other factor is
+evaluated once on the grid and checked as one row.  The chain is used
+only when every coefficient and every factor sample is finite and
+nonnegative, so the kernel is nonnegative and finite on the whole grid,
+and when each term's factors multiply to within ``2^(+-SAFE_LOG2)``
+(``e^(+-t)`` factors overflow past |t| ~ 709, and tiny factors lose
+precision as subnormals).
 
-Every other term is assembled densely, by one shape rule.  A term that
+The separation and the factor samples belong to the term's shape, not to
+the kernel.  A body ``Num(c) * S`` has the shape S when S, with the pinned
+slots folded into ``t``, reads no variable or at least two; a bare
+``Num(c)`` has the shape ``Num(1.0)``.  A shape keeps its preparation on
+itself, in the node's ``__dict__``, so it is keyed by identity, lives
+exactly as long as the tree and needs no process-wide table: S separated
+once per ``(arity, n_diag)``, and its read-only factor rows with their
+log2 spans once per grid as well.  The kernel's coefficients are then
+``c * cs`` for S's coefficients ``cs``, the very products that
+``expr.separate`` forms for ``c * S`` (it adds them to 0.0 where it merges
+the terms of a product, and evaluates a constant ``c * S`` as one number).
+The chain's coefficient and span tests are made on these, from the stored
+spans, so every chain is bit for bit the one the whole body gives.
+Kernels that differ only in ``c``, like the suite's instances around their
+parsed templates, thus share one separation and one sampling, while a
+kernel parsed from a config has a fresh tree and prepares it for itself.
+Every other body is its own shape with ``c = 1``, kept on the kernel; so
+is a body whose S reads a single variable, as ``separate`` folds ``c``
+into that factor (and a shape that is its own factor would hold itself).
+A kernel keeps its plan per ``(n_diag, use_dt)`` and its chain per
+``(grid, n_diag, use_dt)``, a failed one (None) included, so the bound
+(``compute_B``) and the Picard oracle's ``DiscreteRhs`` get the same chain
+object.
+
+A term without a chain is assembled densely, by one shape rule.  A term that
 integrates at least one slot and reads neither ``t`` nor a pinned slot
 depends on the outer node only through the upper limit of its outermost
 integral, so it is ``cumulative``: its map is the running trapezoid sum
@@ -58,6 +76,7 @@ summed by ``_sum_term_maps``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import NamedTuple
@@ -65,7 +84,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expr as expr_mod
-from .expr import Expr, Num, derivative, parse, rename_variables, separate
+from .expr import BinOp, Expr, Num, derivative, parse, rename_variables, separate
 from .grid import Grid, GridFunction, _running_trapezoid, _running_trapezoid_raw
 
 __all__ = [
@@ -129,7 +148,7 @@ class Kernel:
         if self.arity < 1:
             raise KernelError(f"kernel arity must be >= 1, got {self.arity}")
         object.__setattr__(self, "body", _canonical(self.body, self.arity, "body"))
-        # Memos, not fields: expr.separate per (n_diag, use_dt) and
+        # Memos, not fields: _prepare per (n_diag, use_dt) and
         # kernels._chain per (grid, n_diag, use_dt).
         object.__setattr__(self, "_plans", {})
         object.__setattr__(self, "_chains", {})
@@ -147,18 +166,111 @@ class Kernel:
         """True when d/dt is structurally zero (t never occurs in the body)."""
         return self.dt_body == Num(0.0)
 
-    def _separated(self, n_diag: int, use_dt: bool = False):
-        """``(slots, expr.separate(...))`` of the term with the first ``n_diag``
-        inner slots pinned to ``t``, or None; computed once per key."""
+    def _prepared(self, n_diag: int, use_dt: bool = False) -> tuple:
+        """``(plan, shape)`` of the term with the first ``n_diag`` inner
+        slots pinned to ``t`` (see ``_prepare``); computed once per key."""
         key = (n_diag, use_dt)
         if key not in self._plans:
-            names = [f"t{i}" for i in range(1, self.arity + 1)]
             body = self.dt_body if use_dt else self.body
-            body = rename_variables(body, dict.fromkeys(names[:n_diag], "t"))
-            slots = ["t", *names[n_diag:]]
-            terms = separate(body, slots)
-            self._plans[key] = None if terms is None else (slots, terms)
+            self._plans[key] = _prepare(body, self.arity, n_diag)
         return self._plans[key]
+
+    def _separated(self, n_diag: int, use_dt: bool = False):
+        """``(slots, expr.separate(...))`` of the term with the first ``n_diag``
+        inner slots pinned to ``t``, or None."""
+        return self._prepared(n_diag, use_dt)[0]
+
+
+class _Shape:
+    """A coefficient-free term body prepared for one ``(arity, n_diag)``:
+    its pinned slots, ``expr.separate`` of it over them (or None) and, per
+    grid, its sampled factors (see ``sampled``)."""
+
+    __slots__ = ("slots", "terms", "_samples")
+
+    def __init__(self, body: Expr, arity: int, n_diag: int):
+        names = [f"t{i}" for i in range(1, arity + 1)]
+        body = rename_variables(body, dict.fromkeys(names[:n_diag], "t"))
+        self.slots = ["t", *names[n_diag:]]
+        self.terms = separate(body, self.slots)
+        self._samples = {}
+
+    def sampled(self, g: Grid) -> tuple | None:
+        """Per term, its read-only factor rows, in slot order with a unit
+        factor as None, and the sum of their log2 spans; None when a factor
+        has a negative or non-finite sample.  Sampled once per grid, keyed
+        by the numbers that define it, so that a long-lived shape keeps no
+        grid and its nodes alive."""
+        key = (g.alpha, g.beta, g.m)
+        if key not in self._samples:
+            self._samples[key] = self._sample(g)
+        return self._samples[key]
+
+    def _sample(self, g: Grid) -> tuple | None:
+        T = g.nodes
+        out = []
+        for _, factors in self.terms:
+            rows = []
+            spans = np.zeros(len(self.slots))
+            for i, v in enumerate(self.slots):
+                f = factors[v]
+                if f == _UNIT:
+                    rows.append(None)
+                    continue
+                row = expr_mod.evaluate(f, {v: T})
+                span = _log2_span(row)
+                if span is None:
+                    return None
+                spans[i] = span
+                row.flags.writeable = False
+                rows.append(row)
+            out.append((tuple(rows), spans.sum()))
+        return tuple(out)
+
+
+def _prepare(body: Expr, arity: int, n_diag: int) -> tuple:
+    """``(plan, shape)`` of a kernel term: the ``_Shape`` that holds its
+    separation and samples, and ``(slots, terms)`` as ``expr.separate``
+    gives them for the whole pinned ``body`` (or None).
+
+    A body ``Num(c) * S`` whose pinned S reads no variable or at least
+    two, and a bare ``Num(c)`` (S = ``_UNIT``), share the preparation that
+    S keeps on itself, keyed by identity; the plan is S's with each
+    coefficient scaled by c, exactly as ``expr.separate`` scales it.  Any
+    other body, a pinned S read through one variable included (there
+    ``separate`` folds c into the factor, and a shape that is its own
+    factor would hold itself), is a shape of its own.
+    """
+    c, shape = _leading_coefficient(body)
+    pinned = {f"t{i}" for i in range(1, n_diag + 1)}
+    reads = shape.free - pinned | ({"t"} if shape.free & pinned else set())
+    if c is None or len(reads) == 1:
+        own = _Shape(body, arity, n_diag)
+        return (None if own.terms is None else (own.slots, own.terms)), own
+    memo = vars(shape).setdefault("_shapes", {})
+    if (arity, n_diag) not in memo:
+        memo[arity, n_diag] = _Shape(shape, arity, n_diag)
+    shared = memo[arity, n_diag]
+    if shared.terms is None:
+        return None, shared
+    if not reads:  # separate evaluates the constant c * S as one number
+        ((cs, factors),) = shared.terms
+        coef = c * cs
+        return ((shared.slots, [(coef, factors)]) if math.isfinite(coef) else None), shared
+    if not math.isfinite(c):  # separate(Num(c)) is None
+        return None, shared
+    # expr._product forms c * cs and expr._collect adds it to 0.0.
+    return (shared.slots, [(0.0 + c * cs, f) for cs, f in shared.terms]), shared
+
+
+def _leading_coefficient(body: Expr) -> tuple:
+    """``(c, S)`` for a body ``Num(c) * S``, ``(c, _UNIT)`` for a bare
+    ``Num(c)`` and ``(None, body)`` for any other."""
+    if isinstance(body, Num):
+        return body.value, _UNIT
+    if isinstance(body, BinOp) and body.op == "*" and isinstance(body.left, Num):
+        return body.left.value, body.right
+    return None, body
 
 
 @dataclass(frozen=True)
@@ -379,32 +491,22 @@ def _chain(k: Kernel, g: Grid, n_diag: int, use_dt: bool = False) -> _Chain | No
 
 
 def _sample_chain(k: Kernel, g: Grid, n_diag: int, use_dt: bool) -> _Chain | None:
-    plan = k._separated(n_diag, use_dt)
+    """The chain of the kernel's plan on its shape's samples; the
+    coefficients are checked before the shape is sampled."""
+    plan, shape = k._prepared(n_diag, use_dt)
     if plan is None:
         return None
-    slots, terms = plan
-    T = g.nodes
-    parts = []
-    for coef, factors in terms:
+    for coef, _ in plan[1]:
         if not 0.0 <= coef < np.inf:
             return None
-        rows = []
-        spans = np.zeros(len(slots))
-        for i, v in enumerate(slots):
-            f = factors[v]
-            if f == _UNIT:
-                rows.append(None)
-                continue
-            row = expr_mod.evaluate(f, {v: T})
-            span = _log2_span(row)
-            if span is None:
-                return None
-            spans[i] = span
-            row.flags.writeable = False
-            rows.append(row)
-        if spans.sum() + (abs(np.log2(coef)) if coef > 0 else 0.0) > SAFE_LOG2:
+    sampled = shape.sampled(g)
+    if sampled is None:
+        return None
+    parts = []
+    for (coef, _), (rows, span) in zip(plan[1], sampled):
+        if span + (abs(np.log2(coef)) if coef > 0 else 0.0) > SAFE_LOG2:
             return None
-        parts.append(_Part(None if coef == 1.0 else coef, rows[0], tuple(rows[:0:-1])))
+        parts.append(_Part(None if coef == 1.0 else coef, rows[0], rows[:0:-1]))
     return _Chain(tuple(parts))
 
 

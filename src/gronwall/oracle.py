@@ -18,8 +18,9 @@ iterated thm24/thm34 alike) each kernel is prepared once per instance: a
 separable kernel as a chain of running sums, costing O(m * depth * rank)
 per sweep with no O(m^2) array, and any other as a dense map, summed into
 at most one matrix and one running-sum matrix (two mat-vecs per sweep).
-A chain is the one the bound already sampled on the same grid (the
-``Kernel`` keeps it), so its factor arrays are shared, not copied.
+A chain is the very object the bound already built on the same grid
+(the ``Kernel`` keeps its chains), and its factor arrays are the ones its
+kernel shape sampled (see ``kernels``), so they are shared, not copied.
 
 At the suite's m = 256 a sweep costs a few dozen numpy calls on short
 arrays, so call overhead, not arithmetic, sets its price.  A sweep is
@@ -405,7 +406,11 @@ def random_instance(theorem: str, seed: int, m: int = 256) -> ProblemInstance:
 
     The kernels are built as trees around templates parsed once, at
     import: the same trees that parsing ``f"{c2!r}*exp(-(t-s))"`` and
-    ``repr(c3)`` gives, without the parse.
+    ``repr(c3)`` gives, without the parse.  As kernels differ only in
+    their leading coefficient, every instance shares the separation and
+    the factor samples that the templates (and ``Num(1.0)`` for the
+    constant h) keep on themselves; only cor35's k pinned to the diagonal,
+    ``c2*exp(t-t)``, reads one variable and is prepared per instance.
     """
     if theorem not in _SUITE_P:
         raise ValueError(f"no random family for {theorem!r}")

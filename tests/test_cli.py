@@ -6,6 +6,7 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from gronwall import cli, kernels
@@ -13,6 +14,7 @@ from gronwall.bounds import compute_bound
 from gronwall.cli import ConfigError, load_config
 from gronwall.expr import separate
 from gronwall.grid import Grid
+from gronwall.oracle import picard_extremal, verify_dominance
 
 RICCATI_CONFIG = """\
 # Riccati certification scenario
@@ -288,6 +290,44 @@ CUT_CONFIG = (
     "b_expr = exp(t)\nk_expr = exp(-(t-s))\n[grid]\nm = 32\n"
 )
 FULL_CONFIG = CUT_CONFIG.replace("p = 2", "p = 0.5")
+
+
+class TestCsvBytes:
+    """``bound`` and ``verify`` print each value with ``format(x, ".17g")``,
+    the text that reads back as the same double."""
+
+    def test_bound_and_verify_rows(self, tmp_path, capsys):
+        # A t-free k keeps Picard causal, so it converges up to the cut.
+        text = CUT_CONFIG.replace("exp(t)", "1").replace("exp(-(t-s))", "0.5*exp(s)")
+        cfg = write(tmp_path, "c.cfg", text)
+        config = load_config(cfg)
+        inst = config.build_instance()
+        br = compute_bound(inst)
+        outcome = picard_extremal(inst, tol=config.tol, max_iter=config.max_iter)
+        n = verify_dominance(outcome.u, br, outcome.conv_node).compare_node
+        T, b, u = inst.grid.nodes, br.bound.values, outcome.u.values
+        assert 0 < n <= br.horizon_node < inst.grid.m  # a cut bound
+
+        def row(*xs):
+            return ",".join(format(float(x), ".17g") for x in xs) + "\n"
+
+        assert cli.main(["bound", "--config", cfg]) == 0
+        want = "t,bound\n" + "".join(row(T[j], b[j]) for j in range(br.horizon_node + 1))
+        assert capsys.readouterr().out == want
+        out = tmp_path / "verify.csv"
+        assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        want = "t,bound,extremal,margin\n" + "".join(
+            row(T[j], b[j], u[j], b[j] - u[j]) for j in range(n + 1))
+        assert out.read_bytes() == want.encode()
+
+    def test_special_values(self):
+        tiny = np.nextafter(0.0, 1.0)
+        x = np.array([0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308 / 3, 1e300, -1e-300,
+                      np.pi, 1.0 / 3.0, np.nan, np.inf, -np.inf])
+        y = np.random.default_rng(5).standard_normal(x.size) * 10.0 ** np.arange(x.size)
+        want = "a,b\n" + "".join(
+            f"{format(float(p), '.17g')},{format(float(q), '.17g')}\n" for p, q in zip(x, y))
+        assert cli._csv("a,b", x, y) == want
 
 
 class TestSharedParser:

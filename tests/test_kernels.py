@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_instance
-from gronwall import kernels, oracle
+from gronwall import cli, expr, kernels, oracle
 from gronwall.bounds import ProblemInstance, compute_bound
-from gronwall.expr import evaluate, parse
+from gronwall.expr import BinOp, Num, evaluate, parse, rename_variables, separate
 from gronwall.grid import Grid, GridFunction, constant, sample
 from gronwall.kernels import (
     Kernel,
@@ -580,6 +582,160 @@ class TestChainCache:
         w = np.linspace(0.0, 1.0, g.m + 1)
         out = chain.apply(w, g)
         assert out is not w and np.array_equal(out, w)
+
+
+# --- kernels that differ only in a leading coefficient share one shape ---
+
+# Shapes over the canonical names (an alias would make Kernel rebuild the
+# tree), parsed once, so that the examples share what each keeps on itself.
+SHAPES = [
+    (1, parse("exp(-(t-t1))", {"t", "t1"})),
+    (1, parse("exp(t-t1)", {"t", "t1"})),
+    (1, parse("1 + t*t1", {"t", "t1"})),
+    (2, parse("t^2*(1 + t2)", {"t", "t1", "t2"})),
+    (2, parse("0.61", ())),
+    (1, None),  # a bare Num(c)
+]
+COEFFICIENTS = [0.0, -0.0, 1.0, -1.0, 0.37, 5e-324, -5e-324, 1e-310, 1e-300, 1e300,
+                -1e300, math.nan, math.inf, -math.inf]
+GRID_SPANS = [(0.0, 1.0), (0.2, 1.3), (150.0, 159.0), (-300.0, -290.0)]
+
+
+def _whole_body_plan(k, n_diag, use_dt):
+    """``(slots, expr.separate(...))`` of the whole pinned term body, or None."""
+    names = [f"t{i}" for i in range(1, k.arity + 1)]
+    body = rename_variables(k.dt_body if use_dt else k.body, dict.fromkeys(names[:n_diag], "t"))
+    slots = ["t", *names[n_diag:]]
+    terms = separate(body, slots)
+    return None if terms is None else (slots, terms)
+
+
+def _whole_body_parts(k, g, n_diag, use_dt):
+    """The chain's ``(coef, outer, inner)`` parts as the whole pinned term
+    body gives them: every factor of its plan but the unit evaluated and
+    checked in turn; None where no chain is taken."""
+    plan = _whole_body_plan(k, n_diag, use_dt)
+    if plan is None:
+        return None
+    slots, terms = plan
+    parts = []
+    for coef, factors in terms:
+        if not 0.0 <= coef < np.inf:
+            return None
+        rows, spans = [], np.zeros(len(slots))
+        for i, v in enumerate(slots):
+            if factors[v] == Num(1.0):
+                rows.append(None)
+                continue
+            rows.append(evaluate(factors[v], {v: g.nodes}))
+            span = kernels._log2_span(rows[-1])
+            if span is None:
+                return None
+            spans[i] = span
+        if spans.sum() + (abs(np.log2(coef)) if coef > 0 else 0.0) > kernels.SAFE_LOG2:
+            return None
+        parts.append((None if coef == 1.0 else coef, rows[0], tuple(rows[:0:-1])))
+    return parts
+
+
+def _bits(x):
+    return None if x is None else np.asarray(x, dtype=np.float64).tobytes()
+
+
+class TestSharedShapes:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(SHAPES), st.one_of(st.sampled_from(COEFFICIENTS), st.floats()),
+           st.sampled_from(GRID_SPANS), st.integers(3, 8))
+    def test_plan_and_chain_are_the_whole_body_ones_bit_for_bit(self, shape, c, span, m):
+        arity, S = shape
+        k = Kernel(arity, Num(c) if S is None else BinOp("*", Num(c), S))
+        g = Grid(*span, m)
+        for n_diag in range(arity + 1):
+            for use_dt in (False, True):
+                plan = k._separated(n_diag, use_dt)
+                want = _whole_body_plan(k, n_diag, use_dt)
+                assert (plan is None) == (want is None), (n_diag, use_dt)
+                if plan is not None:
+                    assert plan[0] == want[0]
+                    assert [_bits(coef) for coef, _ in plan[1]] == [_bits(c) for c, _ in want[1]]
+                    assert [f for _, f in plan[1]] == [f for _, f in want[1]]
+                chain = kernels._chain(k, g, n_diag, use_dt)
+                want = _whole_body_parts(k, g, n_diag, use_dt)
+                assert (chain is None) == (want is None), (n_diag, use_dt)
+                if chain is None:
+                    continue
+                assert len(chain.parts) == len(want)
+                for (coef, outer, inner), (w_coef, w_outer, w_inner) in zip(chain.parts, want):
+                    assert _bits(coef) == _bits(w_coef)
+                    assert _bits(outer) == _bits(w_outer)
+                    assert list(map(_bits, inner)) == list(map(_bits, w_inner))
+
+    def test_suite_instances_prepare_only_the_pinned_cor35_term(self, monkeypatch):
+        # Every instance of a family shares its kernels' shapes; cor35's k
+        # pinned to the diagonal, c2*exp(t-t), reads one variable and is
+        # prepared with its coefficient folded in.
+        calls = []
+
+        def separating(body, slots):
+            calls.append(("separate", body))
+            return separate(body, slots)
+
+        def evaluating(e, ctx):
+            calls.append(("evaluate", e))
+            return evaluate(e, ctx)
+
+        for theorem in oracle.SUITE_FAMILIES:
+            for seed in range(42, 62):
+                inst = oracle.random_instance(theorem, seed, m=64)
+                with monkeypatch.context() as patch:
+                    if seed > 42:
+                        patch.setattr(kernels, "separate", separating)
+                        patch.setattr(expr, "evaluate", evaluating)
+                    compute_bound(inst)
+                    oracle.DiscreteRhs(inst)
+                want = []
+                if theorem == "cor35" and seed > 42:
+                    pinned = rename_variables(inst.kernels.k.body, {"t1": "t"})
+                    want = [("separate", pinned), ("evaluate", pinned)]
+                assert calls == want, (theorem, seed)
+                calls.clear()
+
+    def test_a_shared_shape_keeps_no_grid_alive(self):
+        g = Grid(0.0, 1.0, 24)
+        for k in (Kernel(1, BinOp("*", Num(0.3), oracle._DECAYING)), Kernel(2, Num(0.61))):
+            assert kernels._chain(k, g, 0) is not None
+        gc.disable()
+        try:
+            grid = weakref.ref(g)
+            del g, k
+            assert grid() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("theorem,k_expr", [
+        ("thm32", "0.5*exp(-(t-s))"),
+        ("thm32", "0.5*exp(s)"),  # a one-variable shape
+        ("cor35", "0.5*exp(t-s)"),
+        ("cor35", "exp(t-s)"),
+        ("cor35", "0.5"),
+    ])
+    def test_a_parsed_kernel_leaves_nothing_behind(self, tmp_path, theorem, k_expr):
+        # With the collector off, a reference cycle through what a tree
+        # keeps on itself would keep the tree alive.
+        a = "b_expr = 1" if theorem == "thm32" else "h_expr = 0.2*t*r"
+        path = tmp_path / "c.cfg"
+        path.write_text(f"[problem]\ntheorem = {theorem}\np = 2\nalpha = 0\nbeta = 1\n"
+                        f"a = 1\n{a}\nk_expr = {k_expr}\n[grid]\nm = 16\n")
+        gc.disable()
+        try:
+            inst = cli.load_config(str(path)).build_instance()
+            compute_bound(inst)
+            oracle.DiscreteRhs(inst)
+            bodies = [weakref.ref(k.body) for k in inst.kernels.kernels if k is not None]
+            del inst
+            assert [body() for body in bodies] == [None] * len(bodies)
+        finally:
+            gc.enable()
 
 
 def _stacked_chain(k, g, n_diag, use_dt=False):
