@@ -5,9 +5,10 @@ Scenario configs are plain text, ``key = value`` lines grouped under
 comments.  Outputs are CSV with numbers at 17 significant digits and LF
 line endings, so identical configs (and seeds) produce bit-identical
 files.  Exit codes: 0 success / verification PASS, 1 verification FAIL,
-2 configuration or hypothesis error, or an oracle run that leaves
-nothing to compare.  ``main`` can be called repeatedly in one process;
-every call shares one argument parser, built on the first call.
+2 configuration or hypothesis error, or an oracle run or a convergence
+study that leaves nothing to compare.  ``main`` can be called repeatedly
+in one process; every call shares one argument parser, built on the
+first call.
 
 A kernel's t-derivative is always the exact derivative of its expression.
 The ``k_dt_expr``, ``h_dt_expr`` and ``k<i>_dt_expr`` keys are kept only
@@ -449,9 +450,17 @@ def cmd_convergence(cfg: ScenarioConfig, levels: int, out_path: str | None) -> i
     diffs = []
     for coarse, fine in zip(results, results[1:]):
         n = min(coarse.horizon_node, fine.horizon_node // 2)
+        c, f = coarse.bound.values[: n + 1], fine.bound.values[: 2 * n + 1 : 2]
         usable = coarse.bound.grid.nodes[: n + 1] <= t_cut
-        d = abs(coarse.bound.values[: n + 1] - fine.bound.values[: 2 * n + 1 : 2])
-        diffs.append(d[usable].max())
+        usable &= np.isfinite(c) & np.isfinite(f)
+        # Node 0 holds the datum on every level, so it alone certifies nothing.
+        if not usable[1:].any():
+            raise ConfigError(
+                f"no node past node 0 is finite on both the m = {coarse.bound.grid.m} "
+                f"and m = {fine.bound.grid.m} bounds within their horizons "
+                f"(t <= {_fmt(t_cut)}): nothing to compare"
+            )
+        diffs.append(abs(c[usable] - f[usable]).max())
     lines = ["m,max_diff,ratio"]
     for i, d in enumerate(diffs):
         ratio = _fmt(d / diffs[i + 1]) if i + 1 < len(diffs) and diffs[i + 1] else ""

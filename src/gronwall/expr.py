@@ -33,6 +33,8 @@ from typing import Iterable, Mapping, Union
 
 import numpy as np
 
+__all__ = ["Expr", "ExprError", "evaluate", "free_variables", "parse", "to_source"]
+
 FUNCTIONS = {
     "exp": np.exp,
     "log": np.log,

@@ -22,10 +22,8 @@ __all__ = [
     "GridFunction",
     "GridError",
     "NonFiniteSampleError",
-    "constant",
     "sample",
     "cumulative_trapezoid",
-    "running_sup",
 ]
 
 
@@ -137,10 +135,6 @@ def _require_same_grid(f: GridFunction, g: GridFunction) -> None:
         raise GridError(f"grid mismatch: {f.grid} vs {g.grid}")
 
 
-def constant(value: float, g: Grid) -> GridFunction:
-    return GridFunction(g, np.full(g.m + 1, float(value)))
-
-
 def sample(e: Expr, g: Grid) -> GridFunction:
     """Evaluate an expression in the variable ``t`` at every grid node.
 
@@ -166,22 +160,19 @@ def cumulative_trapezoid(f: GridFunction) -> GridFunction:
     """Running integral from alpha by the composite trapezoid rule.
 
     out[0] = 0 and out[j] = out[j-1] + dt*(f[j-1]+f[j])/2; exact for
-    integrands that are piecewise linear on the grid.
+    integrands that are piecewise linear on the grid.  Non-finite entries
+    propagate silently.
     """
-    return GridFunction(f.grid, _running_trapezoid(f.values, f.grid.dt))
-
-
-def _running_trapezoid(v: np.ndarray, dt: float) -> np.ndarray:
-    """:func:`cumulative_trapezoid` on a raw node array ``v`` with step ``dt``;
-    non-finite entries propagate silently."""
     with np.errstate(all="ignore"):
-        return _running_trapezoid_raw(v, dt)
+        out = _running_trapezoid_raw(f.values, f.grid.dt)
+    return GridFunction(f.grid, out)
 
 
 def _running_trapezoid_raw(v: np.ndarray, dt: float) -> np.ndarray:
-    """:func:`_running_trapezoid` for callers that already hold an
-    ``errstate``: a chain of running sums calls it once per level, where
-    a nested ``errstate`` per call made the chain about 15 % slower.
+    """:func:`cumulative_trapezoid` on a raw node array ``v`` with step
+    ``dt``, for callers that already hold an ``errstate``: a chain of
+    running sums calls it once per level, where a nested ``errstate`` per
+    call made the chain about 15 % slower.
 
     ``np.add.accumulate`` is the sequential sum that ``np.cumsum`` calls,
     without its wrapper, and ``* 0.5`` rounds exactly as ``/ 2.0``."""
@@ -192,9 +183,3 @@ def _running_trapezoid_raw(v: np.ndarray, dt: float) -> np.ndarray:
     s *= 0.5
     np.add.accumulate(s, out=out[1:])
     return out
-
-
-def running_sup(f: GridFunction) -> GridFunction:
-    """Nodewise running maximum: out[j] = max(f[0..j])."""
-    return GridFunction(f.grid, np.maximum.accumulate(f.values))
-

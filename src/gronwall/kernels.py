@@ -85,7 +85,7 @@ import numpy as np
 
 from . import expr as expr_mod
 from .expr import BinOp, Expr, Num, derivative, parse, rename_variables, separate
-from .grid import Grid, GridFunction, _running_trapezoid, _running_trapezoid_raw
+from .grid import Grid, GridFunction, _running_trapezoid_raw
 
 __all__ = [
     "Kernel",
@@ -95,7 +95,6 @@ __all__ = [
     "compute_B",
     "apply_R",
     "apply_Q",
-    "kernel_dt",
     "MAX_ITERATED_KERNELS",
 ]
 
@@ -351,16 +350,18 @@ class _TermMap(NamedTuple):
     """A kernel term as the linear map ``w -> inner . w``, followed by a
     running trapezoid sum when ``cumulative``.
 
-    ``inner`` is a diagonal (a vector) or a lower-triangular matrix.
+    ``inner`` is a diagonal (a vector) or a lower-triangular matrix.  As
+    with a chain, non-finite values pass through ``apply`` silently.
     """
 
     inner: np.ndarray
     cumulative: bool
 
     def apply(self, w: np.ndarray, g: Grid) -> np.ndarray:
-        out = self.inner * w if self.inner.ndim == 1 else self.inner @ w
-        if self.cumulative:
-            out = _running_trapezoid(out, g.dt)
+        with np.errstate(all="ignore"):
+            out = self.inner * w if self.inner.ndim == 1 else self.inner @ w
+            if self.cumulative:
+                out = _running_trapezoid_raw(out, g.dt)
         return out
 
 
@@ -611,18 +612,3 @@ def apply_Q(ks: KernelSet, w: GridFunction, g: Grid) -> GridFunction:
             continue
         out += _simplex_term(k, w.values, g, n_diag=0, use_dt=True, label=f"k{i}")
     return GridFunction(g, out)
-
-
-def kernel_dt(k: Kernel, point) -> float:
-    """d/dt of the kernel at ``point = (t, x1, ..., x_arity)``: its
-    ``dt_body`` evaluated there."""
-    point = tuple(float(x) for x in point)
-    if len(point) != k.arity + 1:
-        raise KernelError(
-            f"point must have {k.arity + 1} coordinates, got {len(point)}"
-        )
-    names = ["t", *(f"t{i}" for i in range(1, k.arity + 1))]
-    val = expr_mod.evaluate(k.dt_body, dict(zip(names, point)))
-    if not np.isfinite(val):
-        raise KernelError(f"kernel derivative non-finite at {point}")
-    return val

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundResult, HypothesisError, ProblemInstance, compute_bound
+from .bounds import BoundResult, ProblemInstance, compute_bound
 from .expr import BinOp, Num, free_variables, parse
 from .grid import Grid, GridFunction, _running_trapezoid_raw
 from .kernels import Kernel, KernelSet, _apply_parts, _chain, _sum_term_maps
@@ -48,22 +48,17 @@ __all__ = [
     "PicardStatus",
     "PicardOutcome",
     "DominanceReport",
-    "AdmissibilityReport",
     "SuiteCase",
     "DOMINANCE_RTOL",
     "DIVERGENCE_LIMIT",
-    "rhs_operator",
     "picard_extremal",
-    "check_admissible",
     "verify_dominance",
-    "closed_form",
     "random_instance",
     "dominance_case",
     "SUITE_FAMILIES",
 ]
 
 DOMINANCE_RTOL = 1e-9
-ADMISSIBLE_RTOL = 1e-9
 DIVERGENCE_LIMIT = 1e12
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
@@ -95,7 +90,6 @@ class PicardOutcome:
     status: PicardStatus
     conv_node: int
     iterations: int
-    final_delta: float
     diverged_node: int | None = None
 
 
@@ -210,20 +204,6 @@ class DiscreteRhs:
         return acc
 
 
-def rhs_operator(inst: ProblemInstance, u: GridFunction) -> GridFunction:
-    """Evaluate the instance's right-hand side at every node.
-
-    Non-finite outputs (u^p overflow) are carried in the result and
-    flagged through ``first_nonfinite_node``.
-    """
-    if u.grid != inst.grid:
-        raise HypothesisError("u must live on the instance grid")
-    if (u.values < 0).any():
-        j = int(np.argmax(u.values < 0))
-        raise HypothesisError(f"u must be nonnegative; node {j} is {u.values[j]!r}")
-    return GridFunction(inst.grid, DiscreteRhs(inst)(u.values))
-
-
 def picard_extremal(
     inst: ProblemInstance,
     tol: float = DEFAULT_TOL,
@@ -284,35 +264,13 @@ def picard_extremal(
         else:
             ok = delta < tol
             conv_node = m if ok.all() else int(np.argmin(ok)) - 1
-    final_delta = float(delta[:end].max()) if end > 0 else float("inf")
     u = np.where(np.isfinite(u), u, np.nan)
     return PicardOutcome(
         u=GridFunction(inst.grid, u),
         status=status,
         conv_node=conv_node,
         iterations=iterations,
-        final_delta=final_delta,
         diverged_node=diverged_node,
-    )
-
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    admissible: bool
-    max_defect: float
-    worst_node: int
-
-
-def check_admissible(inst: ProblemInstance, u: GridFunction) -> AdmissibilityReport:
-    """Report how far u exceeds RHS(u); admissible means u <= RHS(u) up to slack."""
-    rhs = DiscreteRhs(inst)(u.values)
-    defect = u.values - rhs
-    slack = ADMISSIBLE_RTOL * (1.0 + np.abs(rhs))
-    worst = int(np.argmax(defect - slack))
-    return AdmissibilityReport(
-        admissible=bool((defect <= slack).all()),
-        max_defect=float(defect.max()),
-        worst_node=worst,
     )
 
 
@@ -355,32 +313,6 @@ def verify_dominance(
         worst_node=int(np.argmax(viol - slack)),
         cut=cut,
     )
-
-
-def closed_form(name: str, g: Grid, **params) -> GridFunction:
-    """Analytic references for u' = b u^p initial-value problems.
-
-    riccati(a, b):   a / (1 - a b (t - alpha)), NaN past the pole.
-    linear_exp(a, b): a exp(b (t - alpha)).
-    bernoulli(v0, k, p): [v0^q + q k (t - alpha)]^(1/q), q = 1 - p.
-    """
-    s = g.nodes - g.alpha
-    with np.errstate(all="ignore"):
-        if name == "riccati":
-            a, b = params["a"], params["b"]
-            denom = 1.0 - a * b * s
-            vals = np.where(denom > 0, a / denom, np.nan)
-        elif name == "linear_exp":
-            a, b = params["a"], params["b"]
-            vals = a * np.exp(b * s)
-        elif name == "bernoulli":
-            v0, k, p = params["v0"], params["k"], params["p"]
-            q = 1.0 - p
-            bracket = np.power(v0, q) + q * k * s
-            vals = np.where(bracket > 0, np.power(bracket, 1.0 / q), np.nan)
-        else:
-            raise ValueError(f"unknown closed form {name!r}")
-    return GridFunction(g, vals)
 
 
 _SUITE_P = {

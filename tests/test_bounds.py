@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import gfn, make_instance
+from conftest import constant, gfn, make_instance
 from gronwall.bounds import (
     BoundResult,
     HorizonKind,
@@ -23,7 +23,7 @@ from gronwall.bounds import (
     thm33_bound,
     thm34_bound,
 )
-from gronwall.grid import Grid, GridFunction, constant
+from gronwall.grid import Grid, GridFunction
 from gronwall.kernels import Kernel, KernelSet
 from gronwall.oracle import _SUITE_P, picard_extremal, random_instance
 

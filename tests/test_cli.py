@@ -290,6 +290,12 @@ CUT_CONFIG = (
     "b_expr = exp(t)\nk_expr = exp(-(t-s))\n[grid]\nm = 32\n"
 )
 FULL_CONFIG = CUT_CONFIG.replace("p = 2", "p = 0.5")
+# thm32 with q = 1 - p small: the bound overflows to inf partway, inside a
+# full horizon, at another node on each level.
+OVERFLOW_CONFIG = (
+    "[problem]\ntheorem = thm32\np = 0.9\nalpha = 0.5\nbeta = 2.5\na = 1\n"
+    "b_expr = 1e31*exp(t)\nk_expr = 0.5\n[grid]\nm = 8\n"
+)
 
 
 class TestCsvBytes:
@@ -385,9 +391,11 @@ def reference_convergence_csv(cfg, levels):
     for i, (coarse, fine) in enumerate(zip(results, results[1:])):
         T = Grid(cfg.alpha, cfg.beta, cfg.m * 2**i).nodes
         n = min(coarse.horizon_node, fine.horizon_node // 2)
+        c, f = coarse.bound.values, fine.bound.values
         diffs.append(max(
-            abs(coarse.bound.values[j] - fine.bound.values[2 * j])
-            for j in range(n + 1) if T[j] <= t_cut
+            abs(c[j] - f[2 * j])
+            for j in range(n + 1)
+            if T[j] <= t_cut and math.isfinite(c[j]) and math.isfinite(f[2 * j])
         ))
     lines = ["m,max_diff,ratio"]
     for i, d in enumerate(diffs):
@@ -397,14 +405,31 @@ def reference_convergence_csv(cfg, levels):
 
 
 class TestConvergence:
-    @pytest.mark.parametrize("text, full", [(CUT_CONFIG, False), (FULL_CONFIG, True)],
-                             ids=["cut", "full"])
+    @pytest.mark.parametrize(
+        "text, full",
+        [(CUT_CONFIG, False), (FULL_CONFIG, True), (OVERFLOW_CONFIG, True)],
+        ids=["cut", "full", "overflow"],
+    )
     def test_matches_the_per_node_reference(self, tmp_path, capsys, text, full):
         cfg = write(tmp_path, "c.cfg", text)
         want, results = reference_convergence_csv(load_config(cfg), 4)
         assert all(r.full for r in results) is full
         assert cli.main(["convergence", "--config", cfg, "--levels", "4"]) == 0
         assert capsys.readouterr().out == want
+
+    def test_no_finite_node_past_node_0_exit_2(self, tmp_path, capsys):
+        # The bound is inf at every node past the datum on both levels.
+        text = OVERFLOW_CONFIG.replace("p = 0.9", "p = 0.999").replace("1e31*exp(t)", "3e8")
+        cfg = write(tmp_path, "c.cfg", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["convergence", "--config", cfg, "--levels", "2"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "error: no node past node 0 is finite on both the m = 8 and m = 16 "
+            "bounds within their horizons (t <= 2.5): nothing to compare\n"
+        )
 
     def test_separates_each_kernel_term_once(self, tmp_path, monkeypatch):
         calls = []
@@ -463,6 +488,20 @@ class TestKernelDerivative:
             warnings.simplefilter("error")
             assert cli.main(["bound", "--config", cfg]) == 2
         assert "d/dt of kernel k1 is non-finite at node 0" in capsys.readouterr().err
+
+    def test_dense_map_meets_an_infinite_power_without_warnings(self, tmp_path, capsys):
+        # k4 does not separate, so it is a dense matrix, and the bound applies
+        # it to w = b^p = inf: the mat-vec's 0 * inf stays silent, as on a chain.
+        text = (
+            "[problem]\ntheorem = thm24\np = 2\nalpha = 0\nbeta = 1\na = 1e200\n"
+            "b_expr = 1e200\nk1_expr = 1\nk2_expr = 1\nk3_expr = 1\n"
+            "k4_expr = (1 + t + t1*t2*t3*t4)^0.5\n[grid]\nm = 8\n"
+        )
+        cfg = write(tmp_path, "thm24.cfg", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["bound", "--config", cfg]) == 0
+        assert capsys.readouterr().out == "t,bound\n0,9.9999999999999997e+199\n"
 
 
 class TestExitCodes:

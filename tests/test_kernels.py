@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_instance
+from conftest import constant, kernel_dt, make_instance, rhs_operator
 from gronwall import cli, expr, kernels, oracle
 from gronwall.bounds import ProblemInstance, compute_bound
 from gronwall.expr import BinOp, Num, evaluate, parse, rename_variables, separate
-from gronwall.grid import Grid, GridFunction, constant, sample
+from gronwall.grid import Grid, GridFunction, sample
 from gronwall.kernels import (
     Kernel,
     KernelError,
@@ -20,9 +20,7 @@ from gronwall.kernels import (
     apply_Q,
     apply_R,
     compute_B,
-    kernel_dt,
 )
-from gronwall.oracle import rhs_operator
 
 
 def gf(g, values):

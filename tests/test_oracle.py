@@ -7,21 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_instance
+from conftest import check_admissible, closed_form, constant, make_instance, rhs_operator
 from gronwall import expr, kernels, oracle
 from gronwall.bounds import BoundResult, HypothesisError, compute_bound, thm32_bound
-from gronwall.grid import Grid, GridFunction, constant
+from gronwall.grid import Grid, GridFunction
 from gronwall.kernels import Kernel, KernelError, NegativeKernelError
 from gronwall.oracle import (
     DiscreteRhs,
     DominanceReport,
     PicardStatus,
-    check_admissible,
-    closed_form,
     dominance_case,
     picard_extremal,
     random_instance,
-    rhs_operator,
     verify_dominance,
 )
 
