@@ -24,16 +24,17 @@ def main(workload: str) -> int:
         print({"rhs_apply.calls": calls, "picard.sweeps": sweeps, "dense_mb": dense})
         ok = ok and abs(calls - (sweeps + 1)) <= 1e-9 and dense == 0
     if workload == "suite":
-        # The instances of a family share the samples of their kernel shapes,
-        # so a case samples only the pinned k factor of cor35 (257 points in
-        # a quarter of the cases), plus the two 257-point factors of each
-        # template once per run.  A case builds its kernels from trees,
-        # so it parses nothing.
+        # The instances of a family share the samples of their kernel shapes
+        # and the shapes' terms on the all-ones weight: a case samples
+        # nothing past the two 257-point factors of each template, once per
+        # run, and runs no kernel term through _simplex_term.  A case builds
+        # its kernels from trees, so it parses nothing.
         points = m["expr.evaluate.points"]
         parse_ms = m["expr.parse.self_ms"]
-        print({"evaluate.points": points, "parse.self_ms": parse_ms})
-        bound = 257 / 4 + 4 * 257 / r["attempted"]
-        ok = ok and points <= bound + 1e-9 and parse_ms == 0
+        terms = m["kernels.simplex_term.calls"]
+        print({"evaluate.points": points, "parse.self_ms": parse_ms, "simplex_term.calls": terms})
+        bound = 4 * 257 / r["attempted"]
+        ok = ok and points <= bound + 1e-9 and parse_ms == 0 and terms == 0
     return 0 if ok else 1
 
 

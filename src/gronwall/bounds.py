@@ -5,8 +5,9 @@ Every nonlinear bound is Lemma 3.1's Bernoulli bracket, with q = 1 - p:
     bound(t) = F(t) [D(t)^q + q int_alpha^t I]^(1/q)
 
 It holds up to the horizon, the last node before the bracket stops being
-positive (or finite); past it the bound values are NaN.  Section 2 writes
-its bounds as F (1 - (p-1) int I)^(1/(1-p)), which is the case D = 1.
+positive (or finite) or the bound overflows (horizon kind ``overflow``);
+past it the bound values are NaN.  Section 2 writes its bounds as
+F (1 - (p-1) int I)^(1/(1-p)), which is the case D = 1.
 
     theorem   F(t)        D(t)      I(t)                     horizon kind
     thm22     a(t)        1         B a^(p-1)                p_blow_up
@@ -19,7 +20,8 @@ its bounds as F (1 - (p-1) int I)^(1/(1-p)), which is the case D = 1.
 
 Here B = b + int k + int int h (``compute_B``; B1 omits h) and s = sigma(t).
 thm32 is thm33 with a constant datum and cor35 is thm34 with b = 1, so
-each pair runs one body.  The linear bykov bound (p = 1) is a exp(int B).
+each pair runs one body.  The linear bykov bound (p = 1) is a exp(int B),
+whose horizon ends only where it overflows.
 
 Instance hypotheses (nonnegativity, monotonicity, sign of p) are checked
 eagerly when a :class:`ProblemInstance` is built, with tolerance -1e-12
@@ -37,6 +39,7 @@ k<i>`` and the node, where the closed form would be no bound at all.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -82,6 +85,7 @@ class HorizonKind(enum.Enum):
     FULL = "full"
     P_BLOW_UP = "p_blow_up"
     Q_POSITIVITY = "q_positivity"
+    OVERFLOW = "overflow"
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +94,7 @@ class BoundResult:
 
     ``horizon_node`` is the last node index where the defining condition
     holds strictly; ``horizon_time`` interpolates the crossing linearly
-    (and equals beta with kind FULL when the condition never fails).
+    (it is beta with kind FULL, and that node's time with kind OVERFLOW).
     """
 
     bound: GridFunction
@@ -103,30 +107,47 @@ class BoundResult:
         return self.horizon_kind is HorizonKind.FULL
 
 
-def detect_horizon(bracket: GridFunction):
-    """Locate where ``bracket`` stops being finite and strictly positive.
+def detect_horizon(g: Grid, bracket: np.ndarray | None, bound: np.ndarray | None):
+    """Locate where ``bracket`` stops being finite and strictly positive, or
+    the ``bound`` values stop being finite.
 
-    Returns ``(horizon_node, horizon_time, HorizonKind)``; a node sitting
-    exactly on zero is excluded.  Raises :class:`HypothesisError` when
-    node 0 is already invalid.
+    Both are raw values on the grid ``g``; either may be None, to check the
+    other alone.  Returns ``(horizon_node, horizon_time, HorizonKind)`` for
+    the last node before the first invalid one (a node sitting exactly on
+    zero is excluded), as ``BoundResult`` holds them, with kind Q_POSITIVITY
+    where the bracket fails.  Raises :class:`HypothesisError` when node 0 is
+    already invalid.
     """
-    vals = bracket.values
-    T = bracket.grid.nodes
-    valid = np.isfinite(vals) & (vals > 0.0)
-    if not valid[0]:
+    if _all_valid(bracket, bound):
+        return g.m, float(g.beta), HorizonKind.FULL
+    valid = np.ones(g.m + 1, bool) if bracket is None else np.isfinite(bracket) & (bracket > 0.0)
+    finite = valid if bound is None else valid & np.isfinite(bound)
+    j = int(finite.argmin())  # the fast test is exact, so node j is invalid
+    if j == 0:
         raise HypothesisError(
-            f"bracket invalid at node 0 (value {float(vals[0])!r}): inconsistent instance"
+            f"bracket invalid at node 0 (value {float(bracket[0])!r}): inconsistent instance"
+            if not valid[0] else
+            f"bound overflows at node 0 (value {float(bound[0])!r}): the data are past "
+            "the float range"
         )
-    if valid.all():
-        return bracket.grid.m, T[-1], HorizonKind.FULL
-    j = int(np.argmin(valid))
-    jstar = j - 1
-    v0, v1 = vals[jstar], vals[j]
-    if np.isfinite(v1) and v1 != v0:
-        time = T[jstar] + (T[j] - T[jstar]) * (v0 / (v0 - v1))
+    T = g.nodes
+    if valid[j]:
+        return j - 1, float(T[j - 1]), HorizonKind.OVERFLOW
+    v0, v1 = float(bracket[j - 1]), float(bracket[j])
+    if math.isfinite(v1) and v1 != v0:
+        time = T[j - 1] + (T[j] - T[j - 1]) * (v0 / (v0 - v1))
     else:
         time = T[j]
-    return jstar, float(time), HorizonKind.Q_POSITIVITY
+    return j - 1, float(time), HorizonKind.Q_POSITIVITY
+
+
+def _all_valid(bracket: np.ndarray | None, bound: np.ndarray | None) -> bool:
+    """``detect_horizon``'s exact fast test, one min and one max of each
+    array (NaN fails every comparison)."""
+    lo, hi = np.minimum.reduce, np.maximum.reduce
+    return (bracket is None or lo(bracket) > 0.0 and hi(bracket) < np.inf) and (
+        bound is None or hi(bound) < np.inf and lo(bound) > -np.inf
+    )
 
 
 def _check_nonneg(f: GridFunction, name: str) -> None:
@@ -256,8 +277,9 @@ class ProblemInstance:
                 raise HypothesisError("b(t) must live on the instance grid")
             if t == "thm24":
                 _check_positive(self.b, "b(t)")
-                ratio = GridFunction(self.grid, self.a_values / self.b.values)
-                _check_nondecreasing(ratio, "a(t)/b(t)")
+                with np.errstate(all="ignore"):  # an a/b past the float range is left to the bound
+                    ratio = GridFunction(self.grid, self.a_values / self.b.values)
+                    _check_nondecreasing(ratio, "a(t)/b(t)")
             else:
                 _check_nonneg(self.b, "b(t)")
 
@@ -332,21 +354,23 @@ def lemma31_bound(
 def _bracket_bound(
     g: Grid, factor, datum, q: float, integrand: np.ndarray, kind: HorizonKind
 ) -> BoundResult:
-    """``factor * (datum^q + q int_alpha^t integrand)^(1/q)`` and its horizon.
+    """``factor * (datum^q + q int_alpha^t integrand)^(1/q)`` and its horizon;
+    ``factor`` None stands for 1.
 
-    The horizon is the last node before the bracket stops being positive;
-    ``kind`` labels that crossing.
+    The horizon is the last node before the bracket stops being positive,
+    a crossing that ``kind`` labels, or before the bound overflows.
     """
     with np.errstate(all="ignore"):
         bracket = _running_trapezoid_raw(integrand, g.dt)
         bracket *= q
         bracket += np.power(datum, q)
         vals = np.power(bracket, 1.0 / q)
-        vals *= factor
-    node, time, crossed = detect_horizon(GridFunction(g, bracket))
+        if factor is not None:
+            vals *= factor
+    node, time, crossed = detect_horizon(g, bracket, vals)
     if crossed is not HorizonKind.FULL:
-        crossed = kind
-    vals[node + 1 :] = np.nan
+        vals[node + 1 :] = np.nan
+    crossed = kind if crossed is HorizonKind.Q_POSITIVITY else crossed
     return BoundResult(GridFunction(g, vals), node, time, crossed)
 
 
@@ -404,9 +428,9 @@ def thm24_bound(inst: ProblemInstance) -> BoundResult:
 def _pair_q_form(inst: ProblemInstance) -> BoundResult:
     """thm32/thm33: [A^q + q int B]^(1/q), A the running sup of the datum."""
     g = inst.grid
-    A = np.maximum.accumulate(inst.a_values)
+    A = inst.a_values if inst.a_fn is None else np.maximum.accumulate(inst.a_values)
     B = compute_B(inst.b, inst.kernels.k, inst.kernels.h, g)
-    return _bracket_bound(g, 1.0, A, inst.q, B.values, HorizonKind.Q_POSITIVITY)
+    return _bracket_bound(g, None, A, inst.q, B.values, HorizonKind.Q_POSITIVITY)
 
 
 def thm32_bound(inst: ProblemInstance) -> BoundResult:
@@ -421,13 +445,14 @@ def thm33_bound(inst: ProblemInstance) -> BoundResult:
     return _pair_q_form(inst)
 
 
-def _multiplier_q_form(inst: ProblemInstance, b: np.ndarray, ks: KernelSet) -> BoundResult:
-    """thm34/cor35: b(t) [a^q + q int (R[b^p]+Q[b^p])]^(1/q), ``ks`` iterated."""
+def _multiplier_q_form(inst: ProblemInstance, b: np.ndarray | None, ks: KernelSet) -> BoundResult:
+    """thm34/cor35: b(t) [a^q + q int (R[b^p]+Q[b^p])]^(1/q), ``ks`` iterated;
+    ``b`` None is 1, whose weight b^p is the all-ones weight."""
     g = inst.grid
     with np.errstate(all="ignore"):
-        w = GridFunction(g, np.power(b, inst.p))
-    RQ = apply_R(ks, w, g) + apply_Q(ks, w, g)
-    return _bracket_bound(g, b, inst.a_const, inst.q, RQ.values, HorizonKind.Q_POSITIVITY)
+        w = None if b is None else GridFunction(g, np.power(b, inst.p))
+    RQ = apply_R(ks, w, g).values + apply_Q(ks, w, g).values
+    return _bracket_bound(g, b, inst.a_const, inst.q, RQ, HorizonKind.Q_POSITIVITY)
 
 
 def thm34_bound(inst: ProblemInstance) -> BoundResult:
@@ -446,7 +471,7 @@ def cor35_bound(inst: ProblemInstance) -> BoundResult:
     _require_theorem(inst, "cor35")
     k, h = inst.kernels.k, inst.kernels.h
     ks = KernelSet.iterated([k or Kernel(1, "0")] + ([h] if h is not None else []))
-    return _multiplier_q_form(inst, np.ones(inst.grid.m + 1), ks)
+    return _multiplier_q_form(inst, None, ks)
 
 
 _BOUND_DISPATCH = {
@@ -461,10 +486,11 @@ _BOUND_DISPATCH = {
 
 
 def compute_bound(inst: ProblemInstance) -> BoundResult:
-    """Evaluate the instance's bound family; bykov wraps into a full-interval result."""
-    if inst.theorem == "bykov":
-        out = bykov_bound(
-            inst.a_const, inst.b, inst.kernels.k, inst.kernels.h, inst.grid
-        )
-        return BoundResult(out, inst.grid.m, inst.grid.beta, HorizonKind.FULL)
-    return _BOUND_DISPATCH[inst.theorem](inst)
+    """Evaluate the instance's bound family."""
+    if inst.theorem != "bykov":
+        return _BOUND_DISPATCH[inst.theorem](inst)
+    g = inst.grid
+    vals = bykov_bound(inst.a_const, inst.b, inst.kernels.k, inst.kernels.h, g).values.copy()
+    node, time, kind = detect_horizon(g, None, vals)
+    vals[node + 1 :] = np.nan
+    return BoundResult(GridFunction(g, vals), node, time, kind)

@@ -37,6 +37,7 @@ from .oracle import (
     DEFAULT_TOL,
     SUITE_FAMILIES,
     OracleError,
+    _nothing_certified,
     dominance_case,
     picard_extremal,
     verify_dominance,
@@ -389,12 +390,8 @@ def cmd_verify(cfg: ScenarioConfig, out_path: str | None) -> int:
     outcome = picard_extremal(inst, tol=cfg.tol, max_iter=cfg.max_iter)
     report = verify_dominance(outcome.u, br, outcome.conv_node)
     n = report.compare_node
-    if n == 0 < br.horizon_node:
-        raise OracleError(
-            f"Picard converged on node 0 alone (picard={outcome.status.value} "
-            f"iterations={outcome.iterations}) while the horizon lies at node "
-            f"{br.horizon_node}: the comparison would certify nothing"
-        )
+    if n == 0 < inst.grid.m:
+        raise OracleError(_nothing_certified(br, outcome))
     bvals = br.bound.values[: n + 1]
     uvals = outcome.u.values[: n + 1]
     passed = bool(((uvals - bvals) <= VERIFY_RTOL * (1.0 + bvals)).all())

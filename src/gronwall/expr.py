@@ -304,21 +304,22 @@ def free_variables(e: Expr) -> frozenset[str]:
     return e.free
 
 
-def rename_variables(e: Expr, mapping: Mapping[str, str]) -> Expr:
+def rename_variables(e: Expr, mapping: Mapping[str, str], binop=BinOp) -> Expr:
     """Return ``e`` with variable names substituted per ``mapping``; a
-    subtree that reads none of them is kept as it is, not copied."""
+    subtree that reads none of them is kept as it is, not copied.  Each
+    renamed binary node is built as ``binop(op, left, right)``."""
     if e.free.isdisjoint(mapping):
         return e
     if isinstance(e, Var):
         return Var(mapping[e.name])
     if isinstance(e, Neg):
-        return Neg(rename_variables(e.operand, mapping))
+        return Neg(rename_variables(e.operand, mapping, binop))
     if isinstance(e, Call):
-        return Call(e.func, rename_variables(e.arg, mapping))
-    return BinOp(
+        return Call(e.func, rename_variables(e.arg, mapping, binop))
+    return binop(
         e.op,
-        rename_variables(e.left, mapping),
-        rename_variables(e.right, mapping),
+        rename_variables(e.left, mapping, binop),
+        rename_variables(e.right, mapping, binop),
     )
 
 

@@ -32,28 +32,29 @@ and when each term's factors multiply to within ``2^(+-SAFE_LOG2)``
 precision as subnormals).
 
 The separation and the factor samples belong to the term's shape, not to
-the kernel.  A body ``Num(c) * S`` has the shape S when S, with the pinned
-slots folded into ``t``, reads no variable or at least two; a bare
-``Num(c)`` has the shape ``Num(1.0)``.  A shape keeps its preparation on
-itself, in the node's ``__dict__``, so it is keyed by identity, lives
-exactly as long as the tree and needs no process-wide table: S separated
-once per ``(arity, n_diag)``, and its read-only factor rows with their
-log2 spans once per grid as well.  The kernel's coefficients are then
-``c * cs`` for S's coefficients ``cs``, the very products that
-``expr.separate`` forms for ``c * S`` (it adds them to 0.0 where it merges
-the terms of a product, and evaluates a constant ``c * S`` as one number).
-The chain's coefficient and span tests are made on these, from the stored
-spans, so every chain is bit for bit the one the whole body gives.
-Kernels that differ only in ``c``, like the suite's instances around their
-parsed templates, thus share one separation and one sampling, while a
-kernel parsed from a config has a fresh tree and prepares it for itself.
-Every other body is its own shape with ``c = 1``, kept on the kernel; so
-is a body whose S reads a single variable, as ``separate`` folds ``c``
-into that factor (and a shape that is its own factor would hold itself).
-A kernel keeps its plan per ``(n_diag, use_dt)`` and its chain per
-``(grid, n_diag, use_dt)``, a failed one (None) included, so the bound
-(``compute_B``) and the Picard oracle's ``DiscreteRhs`` get the same chain
-object.
+the kernel.  Pinning folds each ``t - t`` it makes to 0.0 (its value at
+every node), so cor35's ``c*exp(t-s)`` on the diagonal is ``c*exp(0)``.
+A body ``Num(c) * S`` has the shape S when S, pinned, reads no variable or
+at least two; a bare ``Num(c)`` has the shape ``Num(1.0)``.  A shape keeps
+its preparation on itself, in the node's ``__dict__``, so it is keyed by
+identity, lives exactly as long as the tree and needs no process-wide
+table: S separated once per ``(arity, n_diag)`` and, per grid, its
+read-only factor rows with their log2 spans and, from its second use on
+ones, each term's product on the all-ones weight.  The kernel's
+coefficients are ``c * cs`` for S's coefficients ``cs``, the very
+products that ``expr.separate`` forms for ``c * S`` (it adds them to 0.0
+where it merges the terms of a product, and evaluates a constant ``c * S``
+as one number).  A chain is the shape's rows with these coefficients,
+tested on them and the stored spans: bit for bit the chain of the whole
+body.  On ones (``compute_B``; R and Q where b^p = 1) a term sums
+``coef * product`` in part order, op for op its chain on ones.  Kernels
+differing only in ``c``, like the suite's instances of its templates, thus
+share all of it.  Every other body, or one whose S reads a single variable
+(``separate`` folds ``c`` into that factor, and a shape that is its own
+factor would hold itself), is its own shape with ``c = 1``.  A kernel
+keeps its coefficients per ``(n_diag, use_dt)`` and its chain per
+``(grid, n_diag, use_dt)``, None included, so the bound and the Picard
+oracle's ``DiscreteRhs`` share one chain object.
 
 A term without a chain is assembled densely, by one shape rule.  A term that
 integrates at least one slot and reads neither ``t`` nor a pinned slot
@@ -84,7 +85,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import expr as expr_mod
-from .expr import BinOp, Expr, Num, derivative, parse, rename_variables, separate
+from .expr import BinOp, Expr, Num, Var, derivative, parse, rename_variables, separate
 from .grid import Grid, GridFunction, _running_trapezoid_raw
 
 __all__ = [
@@ -104,6 +105,7 @@ MAX_ITERATED_KERNELS = 4
 
 _ALIASES = {"s": "t1", "r": "t2"}
 _UNIT = Num(1.0)
+_T = Var("t")
 
 
 class KernelError(ValueError):
@@ -156,9 +158,9 @@ class Kernel:
     def dt_body(self) -> Expr:
         return derivative(self.body, "t")
 
-    @cached_property
+    @property
     def is_zero(self) -> bool:
-        return self.body == Num(0.0)
+        return isinstance(self.body, Num) and self.body.value == 0.0
 
     @cached_property
     def dt_is_zero(self) -> bool:
@@ -166,7 +168,7 @@ class Kernel:
         return self.dt_body == Num(0.0)
 
     def _prepared(self, n_diag: int, use_dt: bool = False) -> tuple:
-        """``(plan, shape)`` of the term with the first ``n_diag`` inner
+        """``(coefs, shape)`` of the term with the first ``n_diag`` inner
         slots pinned to ``t`` (see ``_prepare``); computed once per key."""
         key = (n_diag, use_dt)
         if key not in self._plans:
@@ -174,32 +176,27 @@ class Kernel:
             self._plans[key] = _prepare(body, self.arity, n_diag)
         return self._plans[key]
 
-    def _separated(self, n_diag: int, use_dt: bool = False):
-        """``(slots, expr.separate(...))`` of the term with the first ``n_diag``
-        inner slots pinned to ``t``, or None."""
-        return self._prepared(n_diag, use_dt)[0]
-
 
 class _Shape:
-    """A coefficient-free term body prepared for one ``(arity, n_diag)``:
-    its pinned slots, ``expr.separate`` of it over them (or None) and, per
-    grid, its sampled factors (see ``sampled``)."""
+    """A coefficient-free pinned term body prepared for one ``(arity,
+    n_diag)``: its slots, ``expr.separate`` of it over them (or None),
+    whether it reads no variable and, per grid, ``sampled`` and ``on_ones``."""
 
-    __slots__ = ("slots", "terms", "_samples")
+    __slots__ = ("slots", "terms", "constant", "_samples", "_on_ones")
 
     def __init__(self, body: Expr, arity: int, n_diag: int):
-        names = [f"t{i}" for i in range(1, arity + 1)]
-        body = rename_variables(body, dict.fromkeys(names[:n_diag], "t"))
-        self.slots = ["t", *names[n_diag:]]
+        self.slots = ["t", *(f"t{i}" for i in range(n_diag + 1, arity + 1))]
+        self.constant = not body.free
         self.terms = separate(body, self.slots)
         self._samples = {}
+        self._on_ones = {}
 
     def sampled(self, g: Grid) -> tuple | None:
-        """Per term, its read-only factor rows, in slot order with a unit
-        factor as None, and the sum of their log2 spans; None when a factor
-        has a negative or non-finite sample.  Sampled once per grid, keyed
-        by the numbers that define it, so that a long-lived shape keeps no
-        grid and its nodes alive."""
+        """Per term, ``(outer, inner, span)``: its read-only factor rows as a
+        chain part holds them (a unit factor as None) and the sum of their
+        log2 spans; None when a factor has a negative or non-finite sample.
+        Sampled once per grid, keyed by the numbers that define it, so that
+        a long-lived shape keeps no grid and its nodes alive."""
         key = (g.alpha, g.beta, g.m)
         if key not in self._samples:
             self._samples[key] = self._sample(g)
@@ -223,43 +220,68 @@ class _Shape:
                 spans[i] = span
                 row.flags.writeable = False
                 rows.append(row)
-            out.append((tuple(rows), spans.sum()))
+            out.append((rows[0], tuple(rows[:0:-1]), spans.sum()))
         return tuple(out)
+
+    def on_ones(self, g: Grid) -> tuple | None:
+        """Per term, its read-only product on the all-ones weight as a chain
+        part computes it before its coefficient, kept per grid from the
+        shape's second use there; None at the first, whose caller applies its
+        chain (a shape parsed for one kernel is used once).  The caller holds
+        the errstate, and ``sampled(g)`` is not None."""
+        key = (g.alpha, g.beta, g.m)
+        if key not in self._on_ones:
+            self._on_ones[key] = None
+        elif self._on_ones[key] is None:
+            products = []
+            for outer, inner, _ in self.sampled(g):
+                v = np.ones(g.m + 1)
+                for f in inner:
+                    v = _running_trapezoid_raw(v if f is None else f * v, g.dt)
+                v = v if outer is None else outer * v
+                v.flags.writeable = False
+                products.append(v)
+            self._on_ones[key] = tuple(products)
+        return self._on_ones[key]
 
 
 def _prepare(body: Expr, arity: int, n_diag: int) -> tuple:
-    """``(plan, shape)`` of a kernel term: the ``_Shape`` that holds its
-    separation and samples, and ``(slots, terms)`` as ``expr.separate``
-    gives them for the whole pinned ``body`` (or None).
-
-    A body ``Num(c) * S`` whose pinned S reads no variable or at least
-    two, and a bare ``Num(c)`` (S = ``_UNIT``), share the preparation that
-    S keeps on itself, keyed by identity; the plan is S's with each
-    coefficient scaled by c, exactly as ``expr.separate`` scales it.  Any
-    other body, a pinned S read through one variable included (there
-    ``separate`` folds c into the factor, and a shape that is its own
-    factor would hold itself), is a shape of its own.
+    """``(coefs, shape)`` of a kernel term: the ``_Shape`` holding its
+    separation and samples, and the term's coefficients over it (None where
+    ``expr.separate`` of the whole pinned body is None).  A body
+    ``Num(c) * S`` shares the shape S keeps on itself when S, pinned, reads
+    no variable or at least two (see the module docstring), with S's
+    coefficients scaled by c as ``expr.separate`` scales them; any other
+    body is a shape of its own.
     """
-    c, shape = _leading_coefficient(body)
-    pinned = {f"t{i}" for i in range(1, n_diag + 1)}
-    reads = shape.free - pinned | ({"t"} if shape.free & pinned else set())
-    if c is None or len(reads) == 1:
-        own = _Shape(body, arity, n_diag)
-        return (None if own.terms is None else (own.slots, own.terms)), own
-    memo = vars(shape).setdefault("_shapes", {})
-    if (arity, n_diag) not in memo:
-        memo[arity, n_diag] = _Shape(shape, arity, n_diag)
-    shared = memo[arity, n_diag]
-    if shared.terms is None:
-        return None, shared
-    if not reads:  # separate evaluates the constant c * S as one number
-        ((cs, factors),) = shared.terms
-        coef = c * cs
-        return ((shared.slots, [(coef, factors)]) if math.isfinite(coef) else None), shared
+    c, S = _leading_coefficient(body)
+    memo = {} if c is None else vars(S).setdefault("_shapes", {})
+    shape = memo.get((arity, n_diag))
+    if shape is None and c is not None and len((pinned := _pin(S, n_diag)).free) != 1:
+        shape = memo[arity, n_diag] = _Shape(pinned, arity, n_diag)
+    if shape is None:
+        own = _Shape(_pin(body, n_diag), arity, n_diag)
+        return (None if own.terms is None else tuple(cs for cs, _ in own.terms)), own
+    if shape.terms is None:
+        return None, shape
+    if shape.constant:  # separate evaluates the constant c * S as one number
+        ((cs, _),) = shape.terms
+        return ((c * cs,) if math.isfinite(c * cs) else None), shape
     if not math.isfinite(c):  # separate(Num(c)) is None
-        return None, shared
+        return None, shape
     # expr._product forms c * cs and expr._collect adds it to 0.0.
-    return (shared.slots, [(0.0 + c * cs, f) for cs, f in shared.terms]), shared
+    return tuple(0.0 + c * cs for cs, _ in shape.terms), shape
+
+
+def _pin(e: Expr, n_diag: int) -> Expr:
+    """``e`` with its first ``n_diag`` inner slots renamed to ``t``, and each
+    ``t - t`` that the renaming makes folded to ``0.0``, its value at every
+    (finite) grid node."""
+    return rename_variables(e, {f"t{i}": "t" for i in range(1, n_diag + 1)}, _pinned_binop)
+
+
+def _pinned_binop(op: str, left: Expr, right: Expr) -> Expr:
+    return Num(0.0) if op == "-" and left == right == _T else BinOp(op, left, right)
 
 
 def _leading_coefficient(body: Expr) -> tuple:
@@ -492,22 +514,22 @@ def _chain(k: Kernel, g: Grid, n_diag: int, use_dt: bool = False) -> _Chain | No
 
 
 def _sample_chain(k: Kernel, g: Grid, n_diag: int, use_dt: bool) -> _Chain | None:
-    """The chain of the kernel's plan on its shape's samples; the
+    """The chain of the kernel's coefficients on its shape's samples; the
     coefficients are checked before the shape is sampled."""
-    plan, shape = k._prepared(n_diag, use_dt)
-    if plan is None:
+    coefs, shape = k._prepared(n_diag, use_dt)
+    if coefs is None:
         return None
-    for coef, _ in plan[1]:
-        if not 0.0 <= coef < np.inf:
+    for coef in coefs:
+        if not 0.0 <= coef < math.inf:
             return None
     sampled = shape.sampled(g)
     if sampled is None:
         return None
     parts = []
-    for (coef, _), (rows, span) in zip(plan[1], sampled):
-        if span + (abs(np.log2(coef)) if coef > 0 else 0.0) > SAFE_LOG2:
+    for coef, (outer, inner, span) in zip(coefs, sampled):
+        if span + (abs(math.log2(coef)) if coef > 0 else 0.0) > SAFE_LOG2:
             return None
-        parts.append(_Part(None if coef == 1.0 else coef, rows[0], rows[:0:-1]))
+        parts.append(_Part(None if coef == 1.0 else coef, outer, inner))
     return _Chain(tuple(parts))
 
 
@@ -549,6 +571,24 @@ def _simplex_term(
     return _term_map(k, g, n_diag, use_dt, label).apply(w, g)
 
 
+def _term(k: Kernel, w: np.ndarray | None, g: Grid, n_diag: int, use_dt=False, label="kernel"):
+    """``_simplex_term`` on ``w``, None for the all-ones weight: there a chain
+    sums ``coef * product`` over its shape's products on ones where they are
+    kept, and the result may be a shared read-only row.  The caller holds
+    the errstate."""
+    chain = None if w is not None else _chain(k, g, n_diag, use_dt)
+    if chain is None:
+        return _simplex_term(k, np.ones(g.m + 1) if w is None else w, g, n_diag, use_dt, label)
+    products = k._plans[n_diag, use_dt][1].on_ones(g)
+    if products is None:
+        return _apply_parts(chain.parts, np.ones(g.m + 1), g.dt)
+    out = None
+    for part, v in zip(chain.parts, products):
+        v = v if part.coef is None else part.coef * v
+        out = v if out is None else out + v
+    return out
+
+
 def _require_grid(f: GridFunction, g: Grid, name: str) -> None:
     if f.grid != g:
         raise KernelError(f"{name} lives on {f.grid}, expected {g}")
@@ -560,41 +600,47 @@ def compute_B(
     """B(t) = b(t) + int_a^t k(t,s) ds + int_a^t int_a^s h(t,s,r) dr ds.
 
     ``k`` must have arity 1 and ``h`` arity 2; pass None for an absent
-    kernel.  A separable kernel costs O(m * rank); otherwise the k-term
-    costs O(m^2) and a t-dependent h-term O(m^3).
+    kernel.  A separable kernel costs O(m * depth * rank) on the first
+    grid its shape meets and O(m * rank) after; otherwise the k-term costs
+    O(m^2) and a t-dependent h-term O(m^3).
     """
     _require_grid(b, g, "b")
     out = b.values.copy()
-    ones = np.ones(g.m + 1)
-    if k is not None and not k.is_zero:
-        if k.arity != 1:
-            raise KernelError(f"k must have arity 1, got {k.arity}")
-        out += _simplex_term(k, ones, g, n_diag=0, label="k")
-    if h is not None and not h.is_zero:
-        if h.arity != 2:
-            raise KernelError(f"h must have arity 2, got {h.arity}")
-        out += _simplex_term(h, ones, g, n_diag=0, label="h")
+    with np.errstate(all="ignore"):
+        for kern, arity, label in ((k, 1, "k"), (h, 2, "h")):
+            if kern is not None and not kern.is_zero:
+                if kern.arity != arity:
+                    raise KernelError(f"{label} must have arity {arity}, got {kern.arity}")
+                out += _term(kern, None, g, n_diag=0, label=label)
     return GridFunction(g, out)
 
 
-def apply_R(ks: KernelSet, w: GridFunction, g: Grid) -> GridFunction:
+def _weighted_sum(ks: KernelSet, w: GridFunction | None, g: Grid, n_diag: int, use_dt: bool):
+    """R (``n_diag = 1``) or Q (``use_dt``) of ``ks`` on ``w``, None for
+    the all-ones weight."""
+    ks._require("iterated")
+    if w is not None:
+        _require_grid(w, g, "w")
+    out = np.zeros(g.m + 1)
+    with np.errstate(all="ignore"):
+        for i, k in enumerate(ks.kernels, start=1):
+            if not (k.is_zero or use_dt and k.dt_is_zero):
+                out += _term(k, None if w is None else w.values, g, n_diag, use_dt, f"k{i}")
+    return GridFunction(g, out)
+
+
+def apply_R(ks: KernelSet, w: GridFunction | None, g: Grid) -> GridFunction:
     """The functional R[w](t) of an iterated kernel set.
 
     R[w](t) = k1(t,t) w(t) + sum_{i>=2} iterated integral of
-    k_i(t, t, t2, ..., ti) w(ti) over the simplex below t.  A separable
-    k_i costs O(m * (i-1) * rank); otherwise it costs O(m^i).
+    k_i(t, t, t2, ..., ti) w(ti) over the simplex below t; ``w`` None is
+    the all-ones weight.  A separable k_i costs O(m * (i-1) * rank);
+    otherwise it costs O(m^i).
     """
-    ks._require("iterated")
-    _require_grid(w, g, "w")
-    out = np.zeros(g.m + 1)
-    for i, k in enumerate(ks.kernels, start=1):
-        if k.is_zero:
-            continue
-        out += _simplex_term(k, w.values, g, n_diag=1, label=f"k{i}")
-    return GridFunction(g, out)
+    return _weighted_sum(ks, w, g, n_diag=1, use_dt=False)
 
 
-def apply_Q(ks: KernelSet, w: GridFunction, g: Grid) -> GridFunction:
+def apply_Q(ks: KernelSet, w: GridFunction | None, g: Grid) -> GridFunction:
     """The functional Q[w](t): as R but with dk_i/dt and integrals from t1.
 
     Each term integrates the kernel's ``dt_body``, its exact t-derivative.
@@ -604,11 +650,4 @@ def apply_Q(ks: KernelSet, w: GridFunction, g: Grid) -> GridFunction:
     A ``dt_body`` that separates into nonnegative factors costs
     O(m * i * rank); otherwise k_i costs O(m^(i+1)).
     """
-    ks._require("iterated")
-    _require_grid(w, g, "w")
-    out = np.zeros(g.m + 1)
-    for i, k in enumerate(ks.kernels, start=1):
-        if k.dt_is_zero or k.is_zero:
-            continue
-        out += _simplex_term(k, w.values, g, n_diag=0, use_dt=True, label=f"k{i}")
-    return GridFunction(g, out)
+    return _weighted_sum(ks, w, g, n_diag=0, use_dt=True)

@@ -315,6 +315,19 @@ def verify_dominance(
     )
 
 
+def _nothing_certified(br: BoundResult, outcome: PicardOutcome) -> str:
+    """Why a comparison on node 0 alone, of a grid with more, is refused."""
+    if br.horizon_node == 0:
+        why = f"the bound holds on node 0 alone (horizon kind {br.horizon_kind.value})"
+    else:
+        why = (
+            f"Picard converged on node 0 alone (picard={outcome.status.value} "
+            f"iterations={outcome.iterations}) while the horizon lies at node "
+            f"{br.horizon_node}"
+        )
+    return f"{why}: the comparison would certify nothing"
+
+
 _SUITE_P = {
     "thm22": (2.0, 3.0),
     "thm32": (0.0, 0.5, 2.0, 3.0),
@@ -341,8 +354,8 @@ def random_instance(theorem: str, seed: int, m: int = 256) -> ProblemInstance:
     ``repr(c3)`` gives, without the parse.  As kernels differ only in
     their leading coefficient, every instance shares the separation and
     the factor samples that the templates (and ``Num(1.0)`` for the
-    constant h) keep on themselves; only cor35's k pinned to the diagonal,
-    ``c2*exp(t-t)``, reads one variable and is prepared per instance.
+    constant h) keep on themselves, cor35's k pinned to the diagonal
+    included, since pinning folds its ``t-t`` to 0.
     """
     if theorem not in _SUITE_P:
         raise ValueError(f"no random family for {theorem!r}")
@@ -386,22 +399,18 @@ def dominance_case(
 ) -> SuiteCase:
     """Run one random instance end to end: bound, Picard extremal, dominance.
 
-    Raises :class:`OracleError` when Picard ran out of sweeps with node 0
-    alone converged below a later horizon, as ``gronwall verify`` does:
-    such a comparison would certify nothing.
+    Raises :class:`OracleError` when the bound holds on node 0 alone, or
+    Picard ran out of sweeps with node 0 alone converged below a later
+    horizon, as ``gronwall verify`` does: such a comparison would certify
+    nothing.
     """
     inst = random_instance(theorem, seed, m)
     br = compute_bound(inst)
     outcome = picard_extremal(inst, tol=tol, max_iter=max_iter)
     report = verify_dominance(outcome.u, br, outcome.conv_node)
     stalled = outcome.status is PicardStatus.MAX_ITER
-    if stalled and report.compare_node == 0 < br.horizon_node:
-        raise OracleError(
-            f"{theorem} seed {seed}: Picard converged on node 0 alone "
-            f"(picard={outcome.status.value} iterations={outcome.iterations}) while "
-            f"the horizon lies at node {br.horizon_node}: the comparison would "
-            "certify nothing"
-        )
+    if report.compare_node == 0 < inst.grid.m and (stalled or br.horizon_node == 0):
+        raise OracleError(f"{theorem} seed {seed}: {_nothing_certified(br, outcome)}")
     return SuiteCase(
         seed=seed,
         p=inst.p,

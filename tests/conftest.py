@@ -1,10 +1,11 @@
 """Shared test helpers, and test references that the package does not run.
 
-``constant``, ``running_sup``, ``kernel_dt``, ``rhs_operator``,
-``check_admissible`` and ``closed_form`` are small oracles that only the
-tests read: nodewise helpers, a pointwise kernel derivative, the
-instance's right-hand side as a grid function with its admissibility
-defect, and analytic solutions of u' = b u^p.
+``constant``, ``running_sup``, ``kernel_dt``, ``separated``,
+``rhs_operator``, ``check_admissible`` and ``closed_form`` are small
+oracles that only the tests read: nodewise helpers, a pointwise kernel
+derivative, a kernel term's separation, the instance's right-hand side as
+a grid function with its admissibility defect, and analytic solutions of
+u' = b u^p.
 """
 
 from dataclasses import dataclass
@@ -87,6 +88,15 @@ def kernel_dt(k, point):
     if not np.isfinite(val):
         raise KernelError(f"kernel derivative non-finite at {point}")
     return val
+
+
+def separated(k, n_diag, use_dt=False):
+    """``(slots, expr.separate(...))`` of the kernel's term with the first
+    ``n_diag`` inner slots pinned to ``t``, or None, rebuilt from the
+    coefficients and shape that the kernel prepares."""
+    coefs, shape = k._prepared(n_diag, use_dt)
+    if coefs is not None:
+        return shape.slots, [(c, f) for c, (_, f) in zip(coefs, shape.terms)]
 
 
 def rhs_operator(inst, u):

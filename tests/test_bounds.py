@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import constant, gfn, make_instance
+from gronwall import bounds
 from gronwall.bounds import (
     BoundResult,
     HorizonKind,
@@ -31,20 +34,20 @@ from gronwall.oracle import _SUITE_P, picard_extremal, random_instance
 class TestDetectHorizon:
     def test_linear_crossing(self):
         g = Grid(0, 2, 4)
-        node, time, kind = detect_horizon(GridFunction(g, 1.25 - g.nodes))
+        node, time, kind = detect_horizon(g, 1.25 - g.nodes, None)
         assert node == 2
         assert time == pytest.approx(1.25)
         assert kind is HorizonKind.Q_POSITIVITY
 
     def test_never_crossing(self):
         g = Grid(0, 1, 4)
-        node, time, kind = detect_horizon(constant(0.5, g))
+        node, time, kind = detect_horizon(g, constant(0.5, g).values, None)
         assert (node, time, kind) == (4, 1.0, HorizonKind.FULL)
 
     def test_threshold_node_excluded(self):
         g = Grid(0, 1, 2)
         bracket = GridFunction(g, [0.5, 0.2, 0.0])
-        node, time, kind = detect_horizon(bracket)
+        node, time, kind = detect_horizon(bracket.grid, bracket.values, None)
         assert node == 1
         assert time == pytest.approx(1.0)
         assert kind is HorizonKind.Q_POSITIVITY
@@ -52,13 +55,13 @@ class TestDetectHorizon:
     def test_invalid_at_node_zero(self):
         g = Grid(0, 1, 2)
         with pytest.raises(HypothesisError, match="node 0"):
-            detect_horizon(GridFunction(g, [-0.1, 1.0, 2.0]))
+            detect_horizon(g, GridFunction(g, [-0.1, 1.0, 2.0]).values, None)
 
     @pytest.mark.parametrize("value, shown", [(0.0, "0.0"), (np.nan, "nan"), (-np.inf, "-inf")])
     def test_invalid_node_zero_prints_a_plain_float(self, value, shown):
         g = Grid(0, 1, 2)
         with pytest.raises(HypothesisError) as err:
-            detect_horizon(GridFunction(g, [value, 1.0, 2.0]))
+            detect_horizon(g, GridFunction(g, [value, 1.0, 2.0]).values, None)
         assert str(err.value) == (
             f"bracket invalid at node 0 (value {shown}): inconsistent instance"
         )
@@ -66,9 +69,102 @@ class TestDetectHorizon:
     def test_nonfinite_entry_cuts(self):
         g = Grid(0, 1, 4)
         bracket = GridFunction(g, [1.0, 0.5, np.nan, 0.5, 0.5])
-        node, time, _ = detect_horizon(bracket)
+        node, time, _ = detect_horizon(bracket.grid, bracket.values, None)
         assert node == 1
         assert time == pytest.approx(g.nodes[2])
+
+
+SPECIAL = [1.0, 0.5, 2.0, 1e308, 0.0, -0.0, -1.0, np.nan, np.inf, -np.inf]
+
+
+def _horizon_reference(g, bracket, bound):
+    """detect_horizon, one node at a time."""
+    for j in range(g.m + 1):
+        ok_bracket = bracket is None or (math.isfinite(bracket[j]) and bracket[j] > 0.0)
+        ok_bound = bound is None or math.isfinite(bound[j])
+        if not (ok_bracket and ok_bound):
+            if j == 0:
+                return "raises"
+            kind = HorizonKind.OVERFLOW if ok_bracket else HorizonKind.Q_POSITIVITY
+            return j - 1, kind
+    return g.m, HorizonKind.FULL
+
+
+class TestHorizonFastPath:
+    """detect_horizon's min/max test against the full per-node test."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0])
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_one_bad_bracket_node(self, bad, where):
+        g = Grid(0, 1, 4)
+        bracket = np.array([1.0, 0.5, 2.0, 1e308, 3.0])
+        bracket[where] = bad
+        assert not bounds._all_valid(bracket, None)
+        want = _horizon_reference(g, bracket, None)
+        if want == "raises":
+            with pytest.raises(HypothesisError, match="bracket invalid at node 0"):
+                detect_horizon(g, bracket, None)
+        else:
+            node, _, kind = detect_horizon(g, bracket, None)
+            assert (node, kind) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(SPECIAL), min_size=2, max_size=7),
+           st.one_of(st.none(), st.lists(st.sampled_from(SPECIAL), min_size=7, max_size=7)))
+    def test_agrees_with_the_full_test(self, bracket, bound):
+        g = Grid(0, 1, len(bracket) - 1)
+        bracket = np.array(bracket)
+        bound = None if bound is None else np.array(bound[: len(bracket)])
+        want = _horizon_reference(g, bracket, bound)
+        full = np.isfinite(bracket).all() and (bracket > 0).all() and (
+            bound is None or np.isfinite(bound).all())
+        assert bounds._all_valid(bracket, bound) == full
+        if want == "raises":
+            with pytest.raises(HypothesisError, match="node 0"):
+                detect_horizon(g, bracket, bound)
+            return
+        node, time, kind = detect_horizon(g, bracket, bound)
+        assert (node, kind) == want
+        if kind is HorizonKind.FULL:
+            assert time == g.beta
+        elif kind is HorizonKind.OVERFLOW:
+            assert time == g.nodes[node]
+        else:
+            assert g.nodes[node] <= time <= g.nodes[node + 1]
+
+    def test_overflow_at_node_zero_is_named(self):
+        g = Grid(0, 1, 2)
+        with pytest.raises(HypothesisError) as err:
+            detect_horizon(g, np.ones(3), np.array([np.inf, 1.0, 1.0]))
+        assert str(err.value) == (
+            "bound overflows at node 0 (value inf): the data are past the float range"
+        )
+
+
+class TestOverflowHorizon:
+    """A bound ends its horizon at its last finite node, kind OVERFLOW."""
+
+    @pytest.mark.parametrize("theorem,p,span,m,data,node", [
+        ("bykov", 1.0, (0, 2), 8, dict(a=1e300, b_expr="1", k="201"), None),
+        ("bykov", 1.0, (0.5, 5.5), 16, dict(a=0.0, b_expr="t", k="1", h="exp(t+2)"), 9),
+        ("thm32", 0.999, (0.5, 2.5), 8, dict(a=1.0, b_expr="3e8", k="0.5"), 0),
+        ("thm32", 0.9, (0.5, 2.5), 8, dict(a=1.0, b_expr="1e31*exp(t)", k="0.5"), None),
+    ])
+    def test_the_bound_is_finite_up_to_the_horizon(self, theorem, p, span, m, data, node):
+        inst = make_instance(theorem, p, *span, m, **data)
+        br = compute_bound(inst)
+        assert br.horizon_kind is HorizonKind.OVERFLOW
+        assert node is None or br.horizon_node == node
+        vals = br.bound.values
+        assert np.isfinite(vals[: br.horizon_node + 1]).all()
+        assert np.isnan(vals[br.horizon_node + 1 :]).all()
+        assert br.horizon_time == inst.grid.nodes[br.horizon_node]
+
+    def test_a_finite_bykov_bound_is_full(self):
+        inst = make_instance("bykov", 1.0, 0, 2, 8, a=1.0, b_expr="1", k="201")
+        br = compute_bound(inst)
+        assert (br.horizon_node, br.horizon_time, br.horizon_kind) == (8, 2, HorizonKind.FULL)
+        assert np.isfinite(br.bound.values).all()
 
 
 class TestLemma21:

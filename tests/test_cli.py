@@ -1,18 +1,23 @@
+import contextlib
 import dataclasses
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gronwall import cli, kernels
-from gronwall.bounds import compute_bound
+from gronwall.bounds import THEOREMS, compute_bound
 from gronwall.cli import ConfigError, load_config
-from gronwall.expr import separate
+from gronwall.expr import FUNCTIONS, separate
 from gronwall.grid import Grid
 from gronwall.oracle import picard_extremal, verify_dominance
 
@@ -290,8 +295,8 @@ CUT_CONFIG = (
     "b_expr = exp(t)\nk_expr = exp(-(t-s))\n[grid]\nm = 32\n"
 )
 FULL_CONFIG = CUT_CONFIG.replace("p = 2", "p = 0.5")
-# thm32 with q = 1 - p small: the bound overflows to inf partway, inside a
-# full horizon, at another node on each level.
+# thm32 with q = 1 - p small: the bound overflows to inf partway, at
+# another node on each level, and the horizon ends at its last finite node.
 OVERFLOW_CONFIG = (
     "[problem]\ntheorem = thm32\np = 0.9\nalpha = 0.5\nbeta = 2.5\na = 1\n"
     "b_expr = 1e31*exp(t)\nk_expr = 0.5\n[grid]\nm = 8\n"
@@ -407,7 +412,7 @@ def reference_convergence_csv(cfg, levels):
 class TestConvergence:
     @pytest.mark.parametrize(
         "text, full",
-        [(CUT_CONFIG, False), (FULL_CONFIG, True), (OVERFLOW_CONFIG, True)],
+        [(CUT_CONFIG, False), (FULL_CONFIG, True), (OVERFLOW_CONFIG, False)],
         ids=["cut", "full", "overflow"],
     )
     def test_matches_the_per_node_reference(self, tmp_path, capsys, text, full):
@@ -418,7 +423,8 @@ class TestConvergence:
         assert capsys.readouterr().out == want
 
     def test_no_finite_node_past_node_0_exit_2(self, tmp_path, capsys):
-        # The bound is inf at every node past the datum on both levels.
+        # The bound is inf at every node past the datum on both levels, so
+        # each horizon ends at node 0, t = 0.5.
         text = OVERFLOW_CONFIG.replace("p = 0.9", "p = 0.999").replace("1e31*exp(t)", "3e8")
         cfg = write(tmp_path, "c.cfg", text)
         with warnings.catch_warnings():
@@ -428,7 +434,7 @@ class TestConvergence:
         assert out.out == ""
         assert out.err == (
             "error: no node past node 0 is finite on both the m = 8 and m = 16 "
-            "bounds within their horizons (t <= 2.5): nothing to compare\n"
+            "bounds within their horizons (t <= 0.5): nothing to compare\n"
         )
 
     def test_separates_each_kernel_term_once(self, tmp_path, monkeypatch):
@@ -536,7 +542,11 @@ class TestExitCodes:
         ("[problem]\ntheorem = thm32\np = 2\nalpha = 0\nbeta = 1\na = 0.5\n"
          "b_expr = 1\nk_expr = 0.5*exp(-(t-s))\n[grid]\nm = 256\n"
          "[oracle]\nmax_iter = 1\n", "picard=max_iter iterations=1"),
-    ], ids=["escaped-at-node-0", "max-iter-1"])
+        # the bound overflows past node 0, so its horizon is node 0 itself
+        (OVERFLOW_CONFIG.replace("p = 0.9", "p = 0.999").replace("1e31*exp(t)", "3e8"),
+         "the bound holds on node 0 alone (horizon kind overflow): the comparison "
+         "would certify nothing"),
+    ], ids=["escaped-at-node-0", "max-iter-1", "horizon-at-node-0"])
     def test_verify_without_comparison_exit_2(self, tmp_path, capsys, text, message):
         cfg = write(tmp_path, "o.cfg", text)
         out = tmp_path / "verify.csv"
@@ -696,3 +706,80 @@ class TestDerivativeHypothesis:
         text = COR35_CONFIG.replace("k_expr = (t-s)^1.5", "k_expr = exp(t-s)\n" + dt_line)
         with pytest.raises(ConfigError, match="^line 8: k_dt_expr: "):
             load_config(write(tmp_path, "dt.cfg", text))
+
+
+# --- the error contract over random configs ---
+
+FUZZ_CONSTANTS = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 201.0, 5e-324, 1e-300, 1e200]),
+    st.floats(0.0, 1e200),
+)
+
+
+def fuzz_expressions(variables):
+    """Source text of random expression trees over ``variables``."""
+    leaves = st.one_of(st.sampled_from(variables), FUZZ_CONSTANTS.map(repr))
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/^"), inner).map(lambda x: f"({x[0]} {x[1]} {x[2]})"),
+        st.tuples(st.sampled_from(sorted(FUNCTIONS)), inner).map(lambda x: f"{x[0]}({x[1]})"),
+        inner.map(lambda x: f"-{x}"),
+    ), max_leaves=5)
+
+
+@st.composite
+def fuzz_runs(draw):
+    """``(config text, command arguments)`` for any theorem and command."""
+    theorem = draw(st.sampled_from(THEOREMS))
+    alpha = draw(st.sampled_from([0.0, 0.5, -1.0]))
+    beta = alpha + draw(st.sampled_from([0.5, 1.0, 2.0, 5.0]))
+    lines = ["[problem]", f"theorem = {theorem}", f"alpha = {alpha!r}", f"beta = {beta!r}"]
+    if theorem != "bykov" or draw(st.booleans()):
+        p = draw(st.one_of(st.sampled_from([0.0, 0.5, 0.9, 0.999, 1.0, 2.0, 3.0]), st.floats(-1, 4)))
+        lines.append(f"p = {p!r}")
+    if theorem in ("thm22", "thm33") or theorem == "thm24" and draw(st.booleans()):
+        lines.append(f"a_expr = {draw(fuzz_expressions(['t']))}")
+    else:
+        lines.append(f"a = {draw(st.one_of(FUZZ_CONSTANTS, st.just(1e300)))!r}")
+    if theorem != "cor35":
+        lines.append(f"b_expr = {draw(fuzz_expressions(['t']))}")
+    if theorem == "thm23":
+        lines.append(f"sigma_expr = {draw(fuzz_expressions(['t']))}")
+    if theorem in ("thm24", "thm34"):
+        for i in range(1, draw(st.integers(1, 4)) + 1):
+            names = ["t", *(f"t{j}" for j in range(1, i + 1))]
+            lines.append(f"k{i}_expr = {draw(fuzz_expressions(names))}")
+    else:
+        if draw(st.booleans()):
+            lines.append(f"k_expr = {draw(fuzz_expressions(['t', 's']))}")
+        if theorem != "thm23" and draw(st.booleans()):
+            lines.append(f"h_expr = {draw(fuzz_expressions(['t', 's', 'r']))}")
+    lines += ["[grid]", f"m = {draw(st.integers(1, 32))}"]
+    command = draw(st.sampled_from([
+        ["bound"], ["verify"], ["horizon"], ["convergence", "--levels", "2"],
+        ["suite", "--cases", "1"],
+    ]))
+    return "\n".join(lines) + "\n", command
+
+
+class TestErrorContract:
+    """Any config, any command: exit 0, 1 or 2, at most one line on stderr,
+    no nan or inf printed by a run that does not fail, and no warning."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(fuzz_runs())
+    def test_random_configs(self, run):
+        text, command = run
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.cfg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error", RuntimeWarning)
+                rc = cli.main([command[0], "--config", path, *command[1:]])
+        assert rc in (0, 1, 2)
+        assert err.getvalue().count("\n") <= 1, err.getvalue()
+        if rc != 2:
+            printed = (out.getvalue() + err.getvalue()).lower()
+            assert "nan" not in printed and "inf" not in printed, printed

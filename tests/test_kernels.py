@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import constant, kernel_dt, make_instance, rhs_operator
-from gronwall import cli, expr, kernels, oracle
+from conftest import constant, kernel_dt, make_instance, rhs_operator, separated
+from gronwall import bounds, cli, expr, kernels, oracle
 from gronwall.bounds import ProblemInstance, compute_bound
-from gronwall.expr import BinOp, Num, evaluate, parse, rename_variables, separate
+from gronwall.expr import BinOp, Call, Neg, Num, Var, evaluate, parse, rename_variables, separate
 from gronwall.grid import Grid, GridFunction, sample
 from gronwall.kernels import (
     Kernel,
@@ -199,7 +199,7 @@ class TestApplyQ:
         # the chain refuses it and the dense path names the sample
         g = Grid(0, 1, 8)
         k = Kernel(1, "exp(-(t-s))")
-        _, terms = k._separated(0, use_dt=True)
+        _, terms = separated(k, 0, use_dt=True)
         assert [coef for coef, _ in terms] == [-1.0]
         message = r"^d/dt of kernel k1 is negative \(-1\.000000e\+00\) at node 0$"
         with pytest.raises(NegativeKernelError, match=message):
@@ -209,7 +209,7 @@ class TestApplyQ:
         # d/dt 1/(1+t*s) = -s/(1+t*s)^2: zero at s = 0, negative from node 1
         g = Grid(0, 1, 8)
         k = Kernel(1, "1/(1+t*s)")
-        assert k._separated(0, use_dt=True) is None
+        assert separated(k, 0, use_dt=True) is None
         with pytest.raises(NegativeKernelError, match=r"^d/dt of kernel k1 is negative .* 1$"):
             apply_Q(KernelSet.iterated([k]), constant(1.0, g), g)
 
@@ -414,7 +414,7 @@ class TestDenseMapReference:
     @pytest.mark.parametrize("arity, body", NON_SEPARABLE)
     def test_term_map_matches_the_nested_rule(self, arity, body):
         k = Kernel(arity, body)
-        assert k._separated(0) is None
+        assert separated(k, 0) is None
         for m in range(3, 7):
             g = Grid(0.2, 1.3, m)
             w = np.random.default_rng(m).uniform(0.2, 2.0, m + 1)
@@ -599,10 +599,29 @@ COEFFICIENTS = [0.0, -0.0, 1.0, -1.0, 0.37, 5e-324, -5e-324, 1e-310, 1e-300, 1e3
 GRID_SPANS = [(0.0, 1.0), (0.2, 1.3), (150.0, 159.0), (-300.0, -290.0)]
 
 
+def _fold_pinned_differences(e, pinned):
+    """``e`` with each difference of two variables that pinning turns into
+    ``t - t`` replaced by 0.0, its value at every node."""
+    if isinstance(e, BinOp):
+        names = {"t", *pinned}
+        if (e.op == "-" and e.free & pinned and isinstance(e.left, Var)
+                and isinstance(e.right, Var) and e.free <= names):
+            return Num(0.0)
+        return BinOp(e.op, *(_fold_pinned_differences(x, pinned) for x in (e.left, e.right)))
+    if isinstance(e, Neg):
+        return Neg(_fold_pinned_differences(e.operand, pinned))
+    if isinstance(e, Call):
+        return Call(e.func, _fold_pinned_differences(e.arg, pinned))
+    return e
+
+
 def _whole_body_plan(k, n_diag, use_dt):
-    """``(slots, expr.separate(...))`` of the whole pinned term body, or None."""
+    """``(slots, expr.separate(...))`` of the whole pinned term body, or None;
+    the differences that pinning makes ``t - t`` fold to 0.0 first."""
+    pinned = {f"t{i}" for i in range(1, n_diag + 1)}
+    body = _fold_pinned_differences(k.dt_body if use_dt else k.body, pinned)
     names = [f"t{i}" for i in range(1, k.arity + 1)]
-    body = rename_variables(k.dt_body if use_dt else k.body, dict.fromkeys(names[:n_diag], "t"))
+    body = rename_variables(body, dict.fromkeys(names[:n_diag], "t"))
     slots = ["t", *names[n_diag:]]
     terms = separate(body, slots)
     return None if terms is None else (slots, terms)
@@ -650,7 +669,7 @@ class TestSharedShapes:
         g = Grid(*span, m)
         for n_diag in range(arity + 1):
             for use_dt in (False, True):
-                plan = k._separated(n_diag, use_dt)
+                plan = separated(k, n_diag, use_dt)
                 want = _whole_body_plan(k, n_diag, use_dt)
                 assert (plan is None) == (want is None), (n_diag, use_dt)
                 if plan is not None:
@@ -668,10 +687,10 @@ class TestSharedShapes:
                     assert _bits(outer) == _bits(w_outer)
                     assert list(map(_bits, inner)) == list(map(_bits, w_inner))
 
-    def test_suite_instances_prepare_only_the_pinned_cor35_term(self, monkeypatch):
-        # Every instance of a family shares its kernels' shapes; cor35's k
-        # pinned to the diagonal, c2*exp(t-t), reads one variable and is
-        # prepared with its coefficient folded in.
+    def test_suite_instances_prepare_and_sample_nothing(self, monkeypatch):
+        # Every instance of a family shares its kernels' shapes, cor35's k
+        # pinned to the diagonal, c2*exp(t-t) = c2*exp(0), included: past
+        # the first instance, no term is separated and no factor sampled.
         calls = []
 
         def separating(body, slots):
@@ -691,12 +710,7 @@ class TestSharedShapes:
                         patch.setattr(expr, "evaluate", evaluating)
                     compute_bound(inst)
                     oracle.DiscreteRhs(inst)
-                want = []
-                if theorem == "cor35" and seed > 42:
-                    pinned = rename_variables(inst.kernels.k.body, {"t1": "t"})
-                    want = [("separate", pinned), ("evaluate", pinned)]
-                assert calls == want, (theorem, seed)
-                calls.clear()
+                assert calls == [], (theorem, seed)
 
     def test_a_shared_shape_keeps_no_grid_alive(self):
         g = Grid(0.0, 1.0, 24)
@@ -736,10 +750,107 @@ class TestSharedShapes:
             gc.enable()
 
 
+# --- terms on the all-ones weight, from the shapes' products on ones ---
+
+PAIR_K_SHAPES = [
+    parse("exp(-(t-t1))", {"t", "t1"}),
+    parse("exp(t-t1)", {"t", "t1"}),
+    parse("1 + t*t1", {"t", "t1"}),  # rank 2
+]
+PAIR_H_SHAPES = [
+    parse("t*(1 + t1*t2)", {"t", "t1", "t2"}),  # rank 2
+    parse("t^2*(1 + t2)", {"t", "t1", "t2"}),
+    None,  # a bare Num(c)
+]
+ONES_COEFFICIENTS = st.one_of(st.sampled_from([0.0, 1.0, 0.37]), st.floats(0.0, 10.0))
+
+
+def _templated(arity, c, S):
+    return Kernel(arity, Num(c) if S is None else BinOp("*", Num(c), S))
+
+
+class TestOnesWeight:
+    """compute_B and cor35's R + Q sum each chain's coefficients times its
+    shape's products on ones: bit for bit the chains applied to ones."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(PAIR_K_SHAPES), st.sampled_from(PAIR_H_SHAPES),
+           ONES_COEFFICIENTS, ONES_COEFFICIENTS, st.integers(1, 40))
+    def test_compute_B_is_the_chains_on_ones(self, kS, hS, ck, ch, m):
+        g = Grid(0.0, 1.3, m)
+        b = gf(g, 0.3 + 0.1 * g.nodes)
+        ones = np.ones(g.m + 1)
+        # Three kernel pairs over the same shapes: a shape's first use on a
+        # grid applies its chain to ones, the later ones sum its products.
+        for _ in range(3):
+            k, h = _templated(1, ck, kS), _templated(2, ch, hS)
+            got = compute_B(b, k, h, g).values
+            want = b.values.copy()
+            for kern in (k, h):
+                # The chain applied to ones, or the dense map where there is
+                # no chain (a subnormal coefficient spans past SAFE_LOG2).
+                want += kernels._simplex_term(kern, ones, g, 0)
+            assert _bits(got) == _bits(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(PAIR_K_SHAPES[1:]), st.sampled_from(PAIR_H_SHAPES),
+           ONES_COEFFICIENTS, ONES_COEFFICIENTS, st.integers(1, 40))
+    def test_cor35_R_plus_Q_is_the_chains_on_ones(self, kS, hS, ck, ch, m):
+        g = Grid(0.0, 1.3, m)
+        ones = gf(g, np.ones(g.m + 1))
+        for _ in range(3):
+            ks = KernelSet.iterated([_templated(1, ck, kS), _templated(2, ch, hS)])
+            got = apply_R(ks, None, g).values + apply_Q(ks, None, g).values
+            want = apply_R(ks, ones, g).values + apply_Q(ks, ones, g).values
+            assert _bits(got) == _bits(want)
+
+    def test_a_term_without_a_chain_takes_the_dense_map(self):
+        g = Grid(0.0, 1.0, 12)
+        k = Kernel(1, "0.4*exp(t*s)")  # does not separate
+        assert kernels._chain(k, g, 0) is None
+        got = compute_B(gf(g, np.zeros(g.m + 1)), k, None, g).values
+        want = kernels._term_map(k, g, 0).apply(np.ones(g.m + 1), g)
+        assert _bits(got) == _bits(0.0 + want)
+
+    def test_a_suite_bound_runs_one_running_sum(self, monkeypatch):
+        # Once a grid's shapes keep their products on ones (from their
+        # second use there), a suite instance's bound runs the running sum
+        # of its bracket only, and no kernel term.
+        calls = []
+        counting = lambda v, dt: calls.append(len(v)) or raw(v, dt)  # noqa: E731
+        raw = kernels._running_trapezoid_raw
+        for theorem in oracle.SUITE_FAMILIES:
+            for seed in (40, 41):
+                compute_bound(oracle.random_instance(theorem, seed, m=64))
+            with monkeypatch.context() as patch:
+                for mod in (kernels, bounds):
+                    patch.setattr(mod, "_running_trapezoid_raw", counting)
+                patch.setattr(kernels, "_simplex_term", None)
+                for seed in range(43, 53):
+                    compute_bound(oracle.random_instance(theorem, seed, m=64))
+                    assert calls == [65], (theorem, seed)
+                    calls.clear()
+
+    @pytest.mark.parametrize("k,error,message", [
+        ("(t-s)^(-0.5)", KernelError, "kernel k1 is non-finite at node index (0,)"),
+        ("0.5*(t-s)^(-0.5)", KernelError, "kernel k1 is non-finite at node index (0,)"),
+        ("exp(t-s)*(t-s-1)", NegativeKernelError,
+         "kernel k1 is negative (-1.000000e+00) at node index (0,)"),
+        ("(t - s)^0.5", KernelError, "d/dt of kernel k1 is non-finite at node 0"),
+    ])
+    def test_a_pinned_difference_folds_but_errors_stay(self, k, error, message):
+        # R pins s to t; t - t folds to 0, and the kernels that failed on
+        # the diagonal still fail with the same error.
+        inst = make_instance("cor35", 2.0, 0, 1, 8, a=0.5, k=k, h="0.2")
+        with pytest.raises(error) as err:
+            compute_bound(inst)
+        assert str(err.value) == message
+
+
 def _stacked_chain(k, g, n_diag, use_dt=False):
     """Reference sampler: every factor of a term evaluated, stacked into one
     array and checked as a whole.  Returns ``[(coef, rows)]`` or None."""
-    plan = k._separated(n_diag, use_dt)
+    plan = separated(k, n_diag, use_dt)
     if plan is None:
         return None
     slots, terms = plan
