@@ -411,17 +411,24 @@ def thm23_bound(inst: ProblemInstance) -> BoundResult:
     return _bracket_bound(g, factor, 1.0, inst.q, integrand, HorizonKind.P_BLOW_UP)
 
 
+def _r_plus_q(ks: KernelSet, b: np.ndarray | None, p: float, g: Grid) -> np.ndarray:
+    """(R + Q)[b^p] of the iterated set ``ks`` as raw values, the integrand
+    of thm24, thm34 and cor35; ``b`` None is 1, whose weight b^p is the
+    all-ones weight."""
+    with np.errstate(all="ignore"):
+        w = None if b is None else GridFunction(g, np.power(b, p))
+        return apply_R(ks, w, g).values + apply_Q(ks, w, g).values
+
+
 def thm24_bound(inst: ProblemInstance) -> BoundResult:
     """Iterated-kernel bound built from the functionals R[b^p] and Q[b^p]."""
     _require_theorem(inst, "thm24")
     g, p = inst.grid, inst.p
     a = inst.a_values
     b = inst.b.values
+    RQ = _r_plus_q(inst.kernels, b, p, g)
     with np.errstate(all="ignore"):
-        w = GridFunction(g, np.power(b, p))
-    RQ = apply_R(inst.kernels, w, g) + apply_Q(inst.kernels, w, g)
-    with np.errstate(all="ignore"):
-        integrand = np.power(a / b, p - 1.0) * RQ.values
+        integrand = np.power(a / b, p - 1.0) * RQ
     return _bracket_bound(g, a, 1.0, inst.q, integrand, HorizonKind.P_BLOW_UP)
 
 
@@ -449,9 +456,7 @@ def _multiplier_q_form(inst: ProblemInstance, b: np.ndarray | None, ks: KernelSe
     """thm34/cor35: b(t) [a^q + q int (R[b^p]+Q[b^p])]^(1/q), ``ks`` iterated;
     ``b`` None is 1, whose weight b^p is the all-ones weight."""
     g = inst.grid
-    with np.errstate(all="ignore"):
-        w = None if b is None else GridFunction(g, np.power(b, inst.p))
-    RQ = apply_R(ks, w, g).values + apply_Q(ks, w, g).values
+    RQ = _r_plus_q(ks, b, inst.p, g)
     return _bracket_bound(g, b, inst.a_const, inst.q, RQ, HorizonKind.Q_POSITIVITY)
 
 

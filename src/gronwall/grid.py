@@ -3,7 +3,10 @@
 Everything downstream (kernels, bounds, the Picard oracle) lives on one
 shared uniform grid; all integrals are composite trapezoid sums over its
 nodes, so cumulative integrals, bound formulas and the oracle agree on
-where values live.  Grids and grid functions are immutable.
+where values live.  Grids and grid functions are immutable.  A grid
+function is only its grid and its checked, read-only values: it has no
+arithmetic, and code computes on the raw ``values`` under its own
+``np.errstate``.
 """
 
 from __future__ import annotations
@@ -73,8 +76,9 @@ class Grid:
 class GridFunction:
     """Samples of a real function at the nodes of a :class:`Grid`.
 
-    Values may contain non-finite entries (e.g. a blown-up bound tail);
-    owners flag those through :attr:`first_nonfinite_node`.
+    Values may contain non-finite entries (e.g. a bound past its horizon
+    is NaN); their owner locates them, as ``bounds.detect_horizon`` does
+    for a bound.
     """
 
     grid: Grid
@@ -88,51 +92,6 @@ class GridFunction:
             )
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
-
-    @property
-    def first_nonfinite_node(self) -> int | None:
-        finite = np.isfinite(self.values)
-        if finite.all():
-            return None
-        return int(np.argmin(finite))
-
-    def at(self, t: float) -> float:
-        """Linear interpolation between nodes; ``t`` must lie in [alpha, beta]."""
-        g = self.grid
-        if not (g.alpha <= t <= g.beta):
-            raise GridError(f"t={t} outside [{g.alpha}, {g.beta}]")
-        return float(np.interp(t, g.nodes, self.values))
-
-    def _binary(self, other, op):
-        if isinstance(other, GridFunction):
-            _require_same_grid(self, other)
-            other = other.values
-        with np.errstate(all="ignore"):
-            return GridFunction(self.grid, op(self.values, other))
-
-    def __add__(self, other):
-        return self._binary(other, np.add)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
-
-    def __mul__(self, other):
-        return self._binary(other, np.multiply)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binary(other, np.divide)
-
-    def __neg__(self):
-        return GridFunction(self.grid, -self.values)
-
-
-def _require_same_grid(f: GridFunction, g: GridFunction) -> None:
-    if f.grid != g.grid:
-        raise GridError(f"grid mismatch: {f.grid} vs {g.grid}")
 
 
 def sample(e: Expr, g: Grid) -> GridFunction:

@@ -206,9 +206,8 @@ class _Shape:
         T = g.nodes
         out = []
         for _, factors in self.terms:
-            rows = []
-            spans = np.zeros(len(self.slots))
-            for i, v in enumerate(self.slots):
+            rows, spans = [], 0.0
+            for v in self.slots:
                 f = factors[v]
                 if f == _UNIT:
                     rows.append(None)
@@ -217,10 +216,10 @@ class _Shape:
                 span = _log2_span(row)
                 if span is None:
                     return None
-                spans[i] = span
+                spans += span
                 row.flags.writeable = False
                 rows.append(row)
-            out.append((rows[0], tuple(rows[:0:-1]), spans.sum()))
+            out.append((rows[0], tuple(rows[:0:-1]), spans))
         return tuple(out)
 
     def on_ones(self, g: Grid) -> tuple | None:
@@ -233,12 +232,9 @@ class _Shape:
         if key not in self._on_ones:
             self._on_ones[key] = None
         elif self._on_ones[key] is None:
-            products = []
+            ones, products = np.ones(g.m + 1), []
             for outer, inner, _ in self.sampled(g):
-                v = np.ones(g.m + 1)
-                for f in inner:
-                    v = _running_trapezoid_raw(v if f is None else f * v, g.dt)
-                v = v if outer is None else outer * v
+                v = _apply_parts((_Part(None, outer, inner),), ones, g.dt)
                 v.flags.writeable = False
                 products.append(v)
             self._on_ones[key] = tuple(products)
@@ -407,7 +403,7 @@ def _nested_rows(
         col = T[:, None]
         ctx = {**fixed, **{name: col for name in outer}, ints[0]: T[None, :]}
         rows = sample(ctx, node=node)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(all="ignore"):
             rows *= g.dt
             rows[:, 0] *= 0.5
             idx = np.arange(n)

@@ -1,8 +1,9 @@
 """Shared test helpers, and test references that the package does not run.
 
-``constant``, ``running_sup``, ``kernel_dt``, ``separated``,
-``rhs_operator``, ``check_admissible`` and ``closed_form`` are small
-oracles that only the tests read: nodewise helpers, a pointwise kernel
+``constant``, ``running_sup``, ``at``, ``first_nonfinite_node``,
+``kernel_dt``, ``separated``, ``rhs_operator``, ``check_admissible`` and
+``closed_form`` are small oracles that only the tests read: nodewise
+helpers, interpolation between nodes, a pointwise kernel
 derivative, a kernel term's separation, the instance's right-hand side as
 a grid function with its admissibility defect, and analytic solutions of
 u' = b u^p.
@@ -73,6 +74,17 @@ def constant(value, g):
 def running_sup(f):
     """Nodewise running maximum: out[j] = max(f[0..j])."""
     return GridFunction(f.grid, np.maximum.accumulate(f.values))
+
+
+def at(f, t):
+    """Linear interpolation of ``f`` between nodes, for ``t`` in [alpha, beta]."""
+    return float(np.interp(t, f.grid.nodes, f.values))
+
+
+def first_nonfinite_node(f):
+    """The first node where ``f`` is not finite, or None."""
+    finite = np.isfinite(f.values)
+    return None if finite.all() else int(np.argmin(finite))
 
 
 def kernel_dt(k, point):

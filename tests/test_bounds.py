@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import constant, gfn, make_instance
+from conftest import at, constant, gfn, make_instance
 from gronwall import bounds
 from gronwall.bounds import (
     BoundResult,
@@ -194,7 +194,7 @@ class TestLemma31:
     def test_riccati_blow_up(self):
         g = Grid(0, 2, 2048)
         br = lemma31_bound(1.0, constant(0.0, g), constant(1.0, g), 2.0, g)
-        assert br.bound.at(0.5) == pytest.approx(2.0, abs=1e-4)
+        assert at(br.bound, 0.5) == pytest.approx(2.0, abs=1e-4)
         assert abs(br.horizon_time - 1.0) <= 2 * g.dt
         assert br.horizon_kind is HorizonKind.Q_POSITIVITY
 
@@ -241,7 +241,7 @@ class TestThm22:
     def test_riccati(self):
         inst = make_instance("thm22", 2.0, 0, 0.9, 1024, a_expr="1", b_expr="1")
         br = thm22_bound(inst)
-        assert br.bound.at(0.5) == pytest.approx(2.0, abs=1e-3)
+        assert at(br.bound, 0.5) == pytest.approx(2.0, abs=1e-3)
         # the bracket never reaches 1 before beta=0.9, so the horizon is full
         assert br.full and br.horizon_time == 0.9
         wide = make_instance("thm22", 2.0, 0, 1.2, 1024, a_expr="1", b_expr="1")
@@ -252,7 +252,7 @@ class TestThm22:
     def test_kernel_only_blow_up(self):
         inst = make_instance("thm22", 2.0, 0, 2.0, 2048, a_expr="1", b_expr="0", k="1")
         br = thm22_bound(inst)
-        assert br.bound.at(1.0) == pytest.approx(2.0, abs=1e-3)
+        assert at(br.bound, 1.0) == pytest.approx(2.0, abs=1e-3)
         assert abs(br.horizon_time - math.sqrt(2.0)) <= 2 * inst.grid.dt
 
 
@@ -313,7 +313,7 @@ class TestThm32:
     def test_riccati(self):
         inst = make_instance("thm32", 2.0, 0, 2, 2048, a=1.0, b_expr="1")
         br = thm32_bound(inst)
-        assert br.bound.at(0.5) == pytest.approx(2.0, abs=1e-4)
+        assert at(br.bound, 0.5) == pytest.approx(2.0, abs=1e-4)
         assert abs(br.horizon_time - 1.0) <= 2 * inst.grid.dt
 
     def test_p_half(self):
@@ -344,7 +344,7 @@ class TestThm33:
     def test_golden_ratio_horizon(self):
         inst = make_instance("thm33", 2.0, 0, 1, 2048, a_expr="1+t", b_expr="1")
         br = thm33_bound(inst)
-        assert br.bound.at(0.5) == pytest.approx(6.0, abs=1e-3)
+        assert at(br.bound, 0.5) == pytest.approx(6.0, abs=1e-3)
         golden = (math.sqrt(5.0) - 1.0) / 2.0
         assert abs(br.horizon_time - golden) <= 2 * inst.grid.dt
 
@@ -378,7 +378,7 @@ class TestCor35:
     def test_shifted_kernel_uses_dt(self):
         inst = make_instance("cor35", 2.0, 0, 1.2, 2048, a=1.0, k="t-s")
         br = cor35_bound(inst)
-        assert br.bound.at(1.0) == pytest.approx(2.0, abs=1e-3)
+        assert at(br.bound, 1.0) == pytest.approx(2.0, abs=1e-3)
 
     def test_triple_kernel_p_zero(self):
         inst = make_instance("cor35", 0.0, 0, 1, 512, a=1.0, h="1")

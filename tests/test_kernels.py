@@ -268,7 +268,7 @@ class TestFunctionalProperties:
         g, ks, w1, w2 = self.rand_setup(123 + n, n)
         al, be = 1.7, -0.6
         for func in (apply_R, apply_Q):
-            lhs = func(ks, al * w1 + be * w2, g).values
+            lhs = func(ks, gf(g, al * w1.values + be * w2.values), g).values
             rhs = al * func(ks, w1, g).values + be * func(ks, w2, g).values
             scale = max(np.abs(rhs).max(), 1.0)
             assert np.abs(lhs - rhs).max() <= 1e-12 * scale
