@@ -150,32 +150,20 @@ def _all_valid(bracket: np.ndarray | None, bound: np.ndarray | None) -> bool:
     )
 
 
-def _check_nonneg(f: GridFunction, name: str) -> None:
-    bad = f.values < NONNEG_TOL
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise HypothesisError(
-            f"{name} must be nonnegative; node {j} has {f.values[j]!r}"
-        )
-
-
-def _check_positive(f: GridFunction, name: str) -> None:
-    bad = ~(f.values > 0)
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise HypothesisError(f"{name} must be positive; node {j} has {f.values[j]!r}")
-
-
-def _check_nondecreasing(f: GridFunction, name: str) -> None:
+def _check(f: GridFunction, name: str, rule: str) -> None:
+    """Raise :class:`HypothesisError` at the first node where ``f`` is not
+    ``rule``: "positive", or "nonnegative"/"nondecreasing" within NONNEG_TOL."""
     v = f.values
-    diffs = v[1:] - v[:-1]
-    bad = diffs < NONNEG_TOL
+    if rule == "nondecreasing":
+        v = v[1:] - v[:-1]
+    bad = ~(v > 0) if rule == "positive" else v < NONNEG_TOL
     if bad.any():
         j = int(np.argmax(bad))
-        raise HypothesisError(
-            f"{name} must be nondecreasing; it drops by {-diffs[j]!r} "
-            f"between nodes {j} and {j + 1}"
-        )
+        if rule == "nondecreasing":
+            found = f"it drops by {float(-v[j])} between nodes {j} and {j + 1}"
+        else:
+            found = f"node {j} has {float(v[j])}"
+        raise HypothesisError(f"{name} must be {rule}; {found}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,13 +245,13 @@ class ProblemInstance:
             if not self.a_const > 0:
                 raise HypothesisError(f"{t} requires a > 0, got {self.a_const}")
         elif t == "thm22":
-            _check_nonneg(self.a_fn, "a(t)")
-            _check_nondecreasing(self.a_fn, "a(t)")
+            _check(self.a_fn, "a(t)", "nonnegative")
+            _check(self.a_fn, "a(t)", "nondecreasing")
         elif t == "thm33":
-            _check_positive(self.a_fn, "a(t)")
+            _check(self.a_fn, "a(t)", "positive")
         elif t == "thm24":
             a = GridFunction(self.grid, self.a_values)
-            _check_nonneg(a, "a(t)")
+            _check(a, "a(t)", "nonnegative")
 
     def _check_coefficients(self):
         t = self.theorem
@@ -276,20 +264,20 @@ class ProblemInstance:
             if self.b.grid != self.grid:
                 raise HypothesisError("b(t) must live on the instance grid")
             if t == "thm24":
-                _check_positive(self.b, "b(t)")
+                _check(self.b, "b(t)", "positive")
                 with np.errstate(all="ignore"):  # an a/b past the float range is left to the bound
                     ratio = GridFunction(self.grid, self.a_values / self.b.values)
-                    _check_nondecreasing(ratio, "a(t)/b(t)")
+                    _check(ratio, "a(t)/b(t)", "nondecreasing")
             else:
-                _check_nonneg(self.b, "b(t)")
+                _check(self.b, "b(t)", "nonnegative")
 
         if t == "thm23":
             if self.sigma is None:
                 raise HypothesisError("thm23 requires the multiplier sigma(t)")
             if self.sigma.grid != self.grid:
                 raise HypothesisError("sigma(t) must live on the instance grid")
-            _check_nonneg(self.sigma, "sigma(t)")
-            _check_nondecreasing(self.sigma, "sigma(t)")
+            _check(self.sigma, "sigma(t)", "nonnegative")
+            _check(self.sigma, "sigma(t)", "nondecreasing")
         elif self.sigma is not None:
             raise HypothesisError(f"{t} takes no sigma(t)")
 

@@ -11,6 +11,12 @@ diverging sweep after sweep and the run is reported with the first
 divergent node plus the prefix of nodes whose successive differences had
 already converged (partial certification over that prefix is the point).
 
+``check_dominance`` takes an instance to a verdict for ``verify`` and
+``suite`` alike: bound, Picard, ``verify_dominance``, one refusal rule.
+A comparison that ends at node 0 of a longer grid certifies nothing and
+is refused, unless Picard diverged and the horizon lies past node 0;
+that one is returned with its reason, and ``verify`` refuses it too.
+
 All right-hand sides are discretized with the same composite trapezoid
 rule as the bounds, through the same kernel terms.  The kernel integrals
 are linear in w = u^p, so for every family (the pair forms, cor35 and the
@@ -48,17 +54,23 @@ __all__ = [
     "PicardStatus",
     "PicardOutcome",
     "DominanceReport",
-    "SuiteCase",
     "DOMINANCE_RTOL",
     "DIVERGENCE_LIMIT",
     "picard_extremal",
     "verify_dominance",
+    "check_dominance",
     "random_instance",
-    "dominance_case",
     "SUITE_FAMILIES",
 ]
 
+# The suite's verdict gate, relative to 1 + bound at each compared node.
 DOMINANCE_RTOL = 1e-9
+# Verdict gate for `verify`: the Picard extremal and the bound are both
+# trapezoid discretizations, so they may disagree at O(dt^2) even when
+# the continuum certificate is tight (bound == extremal).  1e-3 relative
+# absorbs that noise at desk-scale grids; the raw strict-dominance
+# violation is still printed in the summary.
+VERIFY_RTOL = 1e-3
 DIVERGENCE_LIMIT = 1e12
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
@@ -280,37 +292,34 @@ class DominanceReport:
     compare_node: int
     max_violation: float
     min_margin: float
-    worst_node: int
     cut: str  # which truncation applied: horizon | oracle | none
 
 
 def verify_dominance(
-    u: GridFunction, br: BoundResult, conv_node: int
+    u: GridFunction, br: BoundResult, conv_node: int, rtol: float = DOMINANCE_RTOL
 ) -> DominanceReport:
     """Check extremal <= bound over the nodes where both are meaningful.
 
     Compares up to min(horizon_node, conv_node) with the relative slack
-    ``DOMINANCE_RTOL * (1 + bound)`` per node.
+    ``rtol * (1 + bound)`` per node.
     """
     n = min(br.horizon_node, conv_node)
     if n < 0:
         raise OracleError("nothing to compare: empty converged prefix")
     bvals = br.bound.values[: n + 1]
-    uvals = u.values[: n + 1]
-    viol = uvals - bvals
-    slack = DOMINANCE_RTOL * (1.0 + bvals)
+    viol = u.values[: n + 1] - bvals
     if br.horizon_node < conv_node:
         cut = "horizon"
     elif conv_node < br.horizon_node:
         cut = "oracle"
     else:
         cut = "none"
+    max_violation = float(viol.max())
     return DominanceReport(
-        passed=bool((viol <= slack).all()),
+        passed=bool((viol <= rtol * (1.0 + bvals)).all()),
         compare_node=n,
-        max_violation=float(viol.max()),
-        min_margin=float((-viol).min()),
-        worst_node=int(np.argmax(viol - slack)),
+        max_violation=max_violation,
+        min_margin=0.0 - max_violation,  # not -max_violation: a zero margin is 0, not -0
         cut=cut,
     )
 
@@ -326,6 +335,31 @@ def _nothing_certified(br: BoundResult, outcome: PicardOutcome) -> str:
             f"{br.horizon_node}"
         )
     return f"{why}: the comparison would certify nothing"
+
+
+def check_dominance(
+    inst: ProblemInstance,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    rtol: float = DOMINANCE_RTOL,
+) -> tuple[BoundResult, PicardOutcome, DominanceReport, str | None]:
+    """Bound, Picard extremal and dominance report, at ``rtol``, of ``inst``.
+
+    The fourth value says why a comparison that ends at node 0 of a longer
+    grid certifies nothing (None otherwise); such a comparison raises
+    :class:`OracleError` unless Picard diverged below a later horizon.
+    """
+    br = compute_bound(inst)
+    outcome = picard_extremal(inst, tol=tol, max_iter=max_iter)
+    report = verify_dominance(outcome.u, br, outcome.conv_node, rtol)
+    reason = None
+    if report.compare_node == 0 < inst.grid.m:
+        reason = _nothing_certified(br, outcome)
+        # Kept: a diverged run whose node 0 alone converged, the rows that
+        # DiscreteRhs's NaN line makes; ROADMAP item 1 removes both.
+        if outcome.status is not PicardStatus.DIVERGED or br.horizon_node == 0:
+            raise OracleError(reason)
+    return br, outcome, report, reason
 
 
 _SUITE_P = {
@@ -377,46 +411,3 @@ def random_instance(theorem: str, seed: int, m: int = 256) -> ProblemInstance:
         a_fn = GridFunction(g, c[4] + c[5] * T)
         return ProblemInstance(theorem, p, g, a_fn=a_fn, b=b, kernels=kernels)
     return ProblemInstance("thm32", p, g, a_const=c[4], b=b, kernels=kernels)
-
-
-@dataclass(frozen=True)
-class SuiteCase:
-    seed: int
-    p: float
-    passed: bool
-    max_violation: float
-    horizon_time: float
-    picard_status: PicardStatus
-    compare_node: int
-
-
-def dominance_case(
-    theorem: str,
-    seed: int,
-    m: int = 256,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> SuiteCase:
-    """Run one random instance end to end: bound, Picard extremal, dominance.
-
-    Raises :class:`OracleError` when the bound holds on node 0 alone, or
-    Picard ran out of sweeps with node 0 alone converged below a later
-    horizon, as ``gronwall verify`` does: such a comparison would certify
-    nothing.
-    """
-    inst = random_instance(theorem, seed, m)
-    br = compute_bound(inst)
-    outcome = picard_extremal(inst, tol=tol, max_iter=max_iter)
-    report = verify_dominance(outcome.u, br, outcome.conv_node)
-    stalled = outcome.status is PicardStatus.MAX_ITER
-    if report.compare_node == 0 < inst.grid.m and (stalled or br.horizon_node == 0):
-        raise OracleError(f"{theorem} seed {seed}: {_nothing_certified(br, outcome)}")
-    return SuiteCase(
-        seed=seed,
-        p=inst.p,
-        passed=report.passed,
-        max_violation=report.max_violation,
-        horizon_time=br.horizon_time,
-        picard_status=outcome.status,
-        compare_node=report.compare_node,
-    )

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gronwall import cli, kernels
+from gronwall import cli, kernels, oracle
 from gronwall.bounds import THEOREMS, compute_bound
 from gronwall.cli import ConfigError, load_config
 from gronwall.expr import FUNCTIONS, separate
@@ -38,6 +38,13 @@ m = 1024
 tol = 1e-10
 max_iter = 10000
 """
+
+
+# The thm33 config of the CI's console-script step.
+CI_THM33_CONFIG = (
+    "[problem]\ntheorem = thm33\np = 0.5\nalpha = 0\nbeta = 1\na_expr = 1 + t\n"
+    "b_expr = 1\nk_expr = 0.5*exp(-(t-s))\nh_expr = 0.25\n[grid]\nm = 16\n"
+)
 
 
 def write(tmp_path, name, text):
@@ -163,7 +170,7 @@ class TestCommands:
             bound = dataclasses.replace(br.bound, values=0.5 * br.bound.values)
             return dataclasses.replace(br, bound=bound)
 
-        monkeypatch.setattr(cli, "compute_bound", halved)
+        monkeypatch.setattr(oracle, "compute_bound", halved)
         text = (
             "[problem]\ntheorem = cor35\np = 2\nalpha = 0\nbeta = 0.5\na = 1\n"
             "k_expr = exp(t-s)\n[grid]\nm = 256\n"
@@ -228,6 +235,52 @@ class TestCommands:
         _, rows = read_rows(out)
         assert rows[0][2] == "PASS"
         assert rows[0][-2:] == ["diverged", "0"]
+
+    def test_verify_refuses_the_diverged_row_that_suite_keeps(self, tmp_path, capsys):
+        # thm32 seed 46 written out as a config: the suite keeps its DIVERGED
+        # comparison over node 0 alone (test_suite_shows_a_pass_over_node_zero_alone),
+        # and verify refuses the same one.
+        inst = oracle.random_instance("thm32", 46)
+        assert inst.p == 3.0
+        c = np.random.default_rng(46).uniform(0.0, 1.0, 6).tolist()
+        text = (
+            f"[problem]\ntheorem = thm32\np = 3\nalpha = 0\nbeta = 1\na = {c[4]!r}\n"
+            f"b_expr = {c[0]!r} + {c[1]!r}*t\nk_expr = {c[2]!r}*exp(-(t-s))\n"
+            f"h_expr = {c[3]!r}\n[grid]\nm = 256\n"
+        )
+        out = tmp_path / "v.csv"
+        argv = ["verify", "--config", write(tmp_path, "v.cfg", text), "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        horizon = compute_bound(inst).horizon_node
+        assert err.startswith("error: Picard converged on node 0 alone (picard=diverged ")
+        assert err.endswith(
+            f"while the horizon lies at node {horizon}: the comparison would certify nothing\n"
+        )
+        assert not out.exists()
+
+    def test_verify_and_suite_call_check_dominance_once_per_case(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return oracle.check_dominance(*args)
+
+        monkeypatch.setattr(cli, "check_dominance", counted)
+        cfg = write(tmp_path, "c.cfg", CI_THM33_CONFIG)
+        out = str(tmp_path / "a.csv")
+        assert cli.main(["verify", "--config", cfg, "--out", out]) == 0
+        assert len(calls) == 1 and calls[0][3] == oracle.VERIFY_RTOL
+        assert cli.main(["suite", "--config", cfg, "--out", out, "--cases", "3"]) == 0
+        assert len(calls) == 4
+        assert [args[0].theorem for args in calls[1:]] == ["thm33"] * 3
+
+    def test_verify_prints_a_zero_margin_unsigned(self, tmp_path, capsys):
+        # The bound equals the extremal at some node of this config.
+        cfg = write(tmp_path, "c.cfg", CI_THM33_CONFIG)
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "v.csv")]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("PASS max_violation=0 min_margin=0 compare_node=16 ")
 
     def test_suite_refuses_a_max_iter_pass_over_node_zero(self, tmp_path, capsys):
         # One sweep leaves node 0 alone converged below the horizon at node
@@ -534,6 +587,20 @@ class TestExitCodes:
         cfg = write(tmp_path, "bad.cfg", text)
         assert cli.main(["bound", "--config", cfg]) == 2
         assert "a > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theorem, p, a_expr, message", [
+        ("thm33", 0.5, "1 - t", "a(t) must be positive; node 16 has 0.0"),
+        ("thm22", 2, "1 - t", "a(t) must be nondecreasing; it drops by 0.0625 "
+         "between nodes 0 and 1"),
+        ("thm22", 2, "t - 0.5", "a(t) must be nonnegative; node 0 has -0.5"),
+    ], ids=["positive", "nondecreasing", "nonnegative"])
+    def test_hypothesis_error_prints_plain_floats(self, tmp_path, capsys, theorem, p, a_expr,
+                                                  message):
+        text = CI_THM33_CONFIG.replace("thm33\np = 0.5", f"{theorem}\np = {p}")
+        text = text.replace("1 + t", a_expr)
+        cfg = write(tmp_path, "bad.cfg", text)
+        assert cli.main(["bound", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("text, message", [
         # node 0 escapes on the first sweep: no node converges

@@ -24,7 +24,7 @@ from gronwall.oracle import (
     DiscreteRhs,
     DominanceReport,
     PicardStatus,
-    dominance_case,
+    check_dominance,
     picard_extremal,
     random_instance,
     verify_dominance,
@@ -267,10 +267,12 @@ class TestRandomFamily:
                 assert inst.theorem == fam
 
     def test_dominance_case_summary(self):
-        case = dominance_case("thm33", 3, m=64)
-        assert case.seed == 3
-        assert case.p in (0.0, 0.5, 2.0, 3.0)
-        assert isinstance(case.passed, bool)
+        inst = random_instance("thm33", 3, m=64)
+        br, outcome, report, nothing_certified = check_dominance(inst)
+        assert inst.p in (0.0, 0.5, 2.0, 3.0)
+        assert isinstance(report.passed, bool)
+        assert report.compare_node == min(br.horizon_node, outcome.conv_node)
+        assert nothing_certified is None
 
     @pytest.mark.parametrize("theorem", oracle.SUITE_FAMILIES)
     def test_kernels_and_p_are_those_of_the_source_strings(self, theorem):
