@@ -1,6 +1,8 @@
 """Explicit a priori bounds for Volterra inequalities with a u^p nonlinearity.
 
-Every nonlinear bound is Lemma 3.1's Bernoulli bracket, with q = 1 - p:
+``compute_bound`` is the one entry point: it looks the instance's theorem
+up in one table of private bodies.  Every nonlinear bound is Lemma 3.1's
+Bernoulli bracket, with q = 1 - p:
 
     bound(t) = F(t) [D(t)^q + q int_alpha^t I]^(1/q)
 
@@ -10,6 +12,7 @@ past it the bound values are NaN.  Section 2 writes its bounds as
 F (1 - (p-1) int I)^(1/(1-p)), which is the case D = 1.
 
     theorem   F(t)        D(t)      I(t)                     horizon kind
+    bykov     a exp(int B), no bracket (p = 1)               overflow
     thm22     a(t)        1         B a^(p-1)                p_blow_up
     thm23     a s e^s     1         a^(p-1) B1 s^(p-1) e^s   p_blow_up
     thm24     a(t)        1         (a/b)^(p-1) (R+Q)[b^p]   p_blow_up
@@ -20,8 +23,9 @@ F (1 - (p-1) int I)^(1/(1-p)), which is the case D = 1.
 
 Here B = b + int k + int int h (``compute_B``; B1 omits h) and s = sigma(t).
 thm32 is thm33 with a constant datum and cor35 is thm34 with b = 1, so
-each pair runs one body.  The linear bykov bound (p = 1) is a exp(int B),
-whose horizon ends only where it overflows.
+each pair runs one body.  The linear bykov bound has no bracket, and its
+horizon ends only where it overflows.  ``bykov_bound``, ``lemma21_bound``
+and ``lemma31_bound`` take raw data, not an instance.
 
 Instance hypotheses (nonnegativity, monotonicity, sign of p) are checked
 eagerly when a :class:`ProblemInstance` is built, with tolerance -1e-12
@@ -33,7 +37,8 @@ they need k >= 0 and dk/dt >= 0 on the simplex.  Both are checked on the
 samples the bound takes, with the same tolerance: R samples k on the face
 t1 = t and Q samples dk/dt on the whole simplex.  A kernel that decreases
 in t raises :class:`kernels.NegativeKernelError` naming ``d/dt of kernel
-k<i>`` and the node, where the closed form would be no bound at all.
+<name>``, with the name its config gives it (k, h or k<i>), and the node,
+where the closed form would be no bound at all.
 """
 
 from __future__ import annotations
@@ -58,13 +63,6 @@ __all__ = [
     "lemma21_bound",
     "lemma31_bound",
     "bykov_bound",
-    "thm22_bound",
-    "thm23_bound",
-    "thm24_bound",
-    "thm32_bound",
-    "thm33_bound",
-    "thm34_bound",
-    "cor35_bound",
     "compute_bound",
 ]
 
@@ -297,13 +295,6 @@ class ProblemInstance:
             raise HypothesisError("thm23 has no triple-integral kernel h")
 
 
-def _require_theorem(inst: ProblemInstance, expected: str) -> None:
-    if inst.theorem != expected:
-        raise HypothesisError(
-            f"instance is for {inst.theorem!r}, expected {expected!r}"
-        )
-
-
 def lemma21_bound(
     v0: float, b: GridFunction, f: GridFunction, g: Grid
 ) -> GridFunction:
@@ -374,9 +365,17 @@ def bykov_bound(
     return GridFunction(g, out)
 
 
-def thm22_bound(inst: ProblemInstance) -> BoundResult:
+def _bykov(inst: ProblemInstance) -> BoundResult:
+    """bykov_bound with its horizon: it ends only where the bound overflows."""
+    g = inst.grid
+    vals = bykov_bound(inst.a_const, inst.b, inst.kernels.k, inst.kernels.h, g).values.copy()
+    node, time, kind = detect_horizon(g, None, vals)
+    vals[node + 1 :] = np.nan
+    return BoundResult(GridFunction(g, vals), node, time, kind)
+
+
+def _thm22(inst: ProblemInstance) -> BoundResult:
     """Power-nonlinearity bound with a nondecreasing datum function."""
-    _require_theorem(inst, "thm22")
     g, p = inst.grid, inst.p
     a = inst.a_fn.values
     B = compute_B(inst.b, inst.kernels.k, inst.kernels.h, g)
@@ -385,9 +384,8 @@ def thm22_bound(inst: ProblemInstance) -> BoundResult:
     return _bracket_bound(g, a, 1.0, inst.q, integrand, HorizonKind.P_BLOW_UP)
 
 
-def thm23_bound(inst: ProblemInstance) -> BoundResult:
+def _thm23(inst: ProblemInstance) -> BoundResult:
     """Bound for the multiplicative form u <= sigma(t) {a1 + int b u^p + int int k u^p}."""
-    _require_theorem(inst, "thm23")
     g, p, a1 = inst.grid, inst.p, inst.a_const
     sig = inst.sigma.values
     B1 = compute_B(inst.b, inst.kernels.k, None, g)
@@ -399,25 +397,23 @@ def thm23_bound(inst: ProblemInstance) -> BoundResult:
     return _bracket_bound(g, factor, 1.0, inst.q, integrand, HorizonKind.P_BLOW_UP)
 
 
-def _r_plus_q(ks: KernelSet, b: np.ndarray | None, p: float, g: Grid) -> np.ndarray:
-    """(R + Q)[b^p] of the iterated set ``ks`` as raw values, the integrand
-    of thm24, thm34 and cor35; ``b`` None is 1, whose weight b^p is the
-    all-ones weight."""
+def _r_plus_q(inst: ProblemInstance) -> np.ndarray:
+    """(R + Q)[b^p] of the instance's kernels as raw values, the integrand of
+    thm24, thm34 and cor35; cor35 has no b, and its b = 1 gives the all-ones
+    weight."""
+    g, ks = inst.grid, inst.kernels
     with np.errstate(all="ignore"):
-        w = None if b is None else GridFunction(g, np.power(b, p))
+        w = None if inst.b is None else GridFunction(g, np.power(inst.b.values, inst.p))
         return apply_R(ks, w, g).values + apply_Q(ks, w, g).values
 
 
-def thm24_bound(inst: ProblemInstance) -> BoundResult:
+def _thm24(inst: ProblemInstance) -> BoundResult:
     """Iterated-kernel bound built from the functionals R[b^p] and Q[b^p]."""
-    _require_theorem(inst, "thm24")
-    g, p = inst.grid, inst.p
     a = inst.a_values
-    b = inst.b.values
-    RQ = _r_plus_q(inst.kernels, b, p, g)
+    RQ = _r_plus_q(inst)
     with np.errstate(all="ignore"):
-        integrand = np.power(a / b, p - 1.0) * RQ
-    return _bracket_bound(g, a, 1.0, inst.q, integrand, HorizonKind.P_BLOW_UP)
+        integrand = np.power(a / inst.b.values, inst.p - 1.0) * RQ
+    return _bracket_bound(inst.grid, a, 1.0, inst.q, integrand, HorizonKind.P_BLOW_UP)
 
 
 def _pair_q_form(inst: ProblemInstance) -> BoundResult:
@@ -428,62 +424,26 @@ def _pair_q_form(inst: ProblemInstance) -> BoundResult:
     return _bracket_bound(g, None, A, inst.q, B.values, HorizonKind.Q_POSITIVITY)
 
 
-def thm32_bound(inst: ProblemInstance) -> BoundResult:
-    """Bound [a^q + q int B]^(1/q) for a constant datum a > 0."""
-    _require_theorem(inst, "thm32")
-    return _pair_q_form(inst)
-
-
-def thm33_bound(inst: ProblemInstance) -> BoundResult:
-    """As thm32 with the running supremum A(t) of the datum in place of a."""
-    _require_theorem(inst, "thm33")
-    return _pair_q_form(inst)
-
-
-def _multiplier_q_form(inst: ProblemInstance, b: np.ndarray | None, ks: KernelSet) -> BoundResult:
-    """thm34/cor35: b(t) [a^q + q int (R[b^p]+Q[b^p])]^(1/q), ``ks`` iterated;
-    ``b`` None is 1, whose weight b^p is the all-ones weight."""
-    g = inst.grid
-    RQ = _r_plus_q(ks, b, inst.p, g)
-    return _bracket_bound(g, b, inst.a_const, inst.q, RQ, HorizonKind.Q_POSITIVITY)
-
-
-def thm34_bound(inst: ProblemInstance) -> BoundResult:
-    """Multiplier form b(t) [a^q + q int (R[b^p]+Q[b^p])]^(1/q)."""
-    _require_theorem(inst, "thm34")
-    return _multiplier_q_form(inst, inst.b.values, inst.kernels)
-
-
-def cor35_bound(inst: ProblemInstance) -> BoundResult:
-    """Direct-kernel bound [a^q + q int (R + Q)]^(1/q).
-
-    This is thm34 with b = 1 on the iterated set (k, h):
-    R(t) = k(t,t) + int_a^t h(t,t,r) dr and Q integrates the kernels'
-    exact t-derivatives, which must be nonnegative.
-    """
-    _require_theorem(inst, "cor35")
-    k, h = inst.kernels.k, inst.kernels.h
-    ks = KernelSet.iterated([k or Kernel(1, "0")] + ([h] if h is not None else []))
-    return _multiplier_q_form(inst, None, ks)
+def _multiplier_q_form(inst: ProblemInstance) -> BoundResult:
+    """thm34/cor35: b(t) [a^q + q int (R[b^p]+Q[b^p])]^(1/q); cor35 has no
+    b, which is 1 there, and its R + Q walks its pair (k, h) as (k1, k2)."""
+    b = None if inst.b is None else inst.b.values
+    RQ = _r_plus_q(inst)
+    return _bracket_bound(inst.grid, b, inst.a_const, inst.q, RQ, HorizonKind.Q_POSITIVITY)
 
 
 _BOUND_DISPATCH = {
-    "thm22": thm22_bound,
-    "thm23": thm23_bound,
-    "thm24": thm24_bound,
-    "thm32": thm32_bound,
-    "thm33": thm33_bound,
-    "thm34": thm34_bound,
-    "cor35": cor35_bound,
+    "bykov": _bykov,
+    "thm22": _thm22,
+    "thm23": _thm23,
+    "thm24": _thm24,
+    "thm32": _pair_q_form,
+    "thm33": _pair_q_form,
+    "thm34": _multiplier_q_form,
+    "cor35": _multiplier_q_form,
 }
 
 
 def compute_bound(inst: ProblemInstance) -> BoundResult:
-    """Evaluate the instance's bound family."""
-    if inst.theorem != "bykov":
-        return _BOUND_DISPATCH[inst.theorem](inst)
-    g = inst.grid
-    vals = bykov_bound(inst.a_const, inst.b, inst.kernels.k, inst.kernels.h, g).values.copy()
-    node, time, kind = detect_horizon(g, None, vals)
-    vals[node + 1 :] = np.nan
-    return BoundResult(GridFunction(g, vals), node, time, kind)
+    """Evaluate the instance's bound family, the one entry point for all eight."""
+    return _BOUND_DISPATCH[inst.theorem](inst)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import HypothesisError, ProblemInstance, THEOREMS, compute_bound
+from .bounds import _ITERATED, HypothesisError, ProblemInstance, THEOREMS, compute_bound
 from .expr import Expr, ExprError, evaluate, parse, to_source
 from .grid import Grid, GridError, sample
 from .kernels import Kernel, KernelError, KernelSet
@@ -43,8 +43,6 @@ from .oracle import (
 )
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_config", "main", "console_main"]
-
-_ITERATED_THEOREMS = ("thm24", "thm34")
 
 _PROBLEM_KEYS = {
     "theorem", "p", "alpha", "beta", "a", "a_expr", "b_expr", "sigma_expr",
@@ -237,7 +235,7 @@ class ScenarioConfig:
             p = 1.0
         g = Grid(self.alpha, self.beta, self.m)
         kernels = None
-        if self.theorem in _ITERATED_THEOREMS:
+        if self.theorem in _ITERATED:
             kernels = KernelSet.iterated(self.iterated)
         elif self.pair_k is not None or self.pair_h is not None:
             kernels = KernelSet.pair(self.pair_k, self.pair_h)
@@ -274,7 +272,7 @@ def load_config(path: str) -> ScenarioConfig:
         )
 
     iterated_present = [i for i in range(1, 5) if f"k{i}_expr" in problem]
-    if theorem in _ITERATED_THEOREMS:
+    if theorem in _ITERATED:
         for key in ("k_expr", "h_expr", "sigma_expr"):
             if key in problem:
                 raise ConfigError(
@@ -343,7 +341,7 @@ def load_config(path: str) -> ScenarioConfig:
             data["oracle"]["tol"][1],
         )
     if cfg.max_iter < 1:
-        raise ConfigError("max_iter must be at least 1")
+        raise ConfigError("max_iter must be at least 1", data["oracle"]["max_iter"][1])
     return cfg
 
 

@@ -73,6 +73,10 @@ the node.  So every sample that ``apply_Q`` integrates is checked, on one
 path or the other.  The Picard oracle's right-hand side takes the same
 choice per kernel: a chain where one exists, and otherwise the dense maps,
 summed by ``_sum_term_maps``.
+
+An error names a kernel as its config does (k and h in a pair, k1..kn in
+an iterated set): ``KernelSet.named`` gives the names to R, Q and the
+oracle's right-hand side, and ``compute_B`` names its k and h itself.
 """
 
 from __future__ import annotations
@@ -322,19 +326,25 @@ class KernelSet:
                 )
         return cls("iterated", ks)
 
+    def named(self) -> tuple:
+        """``(name, kernel)`` of each kernel present, in order, named as a
+        config names it: k and h in a pair, k1..kn in an iterated set."""
+        if self.form == "pair":
+            return tuple((n, k) for n, k in zip(("k", "h"), self.kernels) if k is not None)
+        return tuple((f"k{i}", k) for i, k in enumerate(self.kernels, start=1))
+
     @property
     def k(self) -> Kernel | None:
-        self._require("pair")
-        return self.kernels[0]
+        return self._pair()[0]
 
     @property
     def h(self) -> Kernel | None:
-        self._require("pair")
-        return self.kernels[1]
+        return self._pair()[1]
 
-    def _require(self, form: str) -> None:
-        if self.form != form:
-            raise KernelError(f"expected a {form!r} kernel set, got {self.form!r}")
+    def _pair(self) -> tuple:
+        if self.form != "pair":
+            raise KernelError(f"expected a 'pair' kernel set, got {self.form!r}")
+        return self.kernels
 
 
 def _samples(
@@ -614,23 +624,23 @@ def compute_B(
 def _weighted_sum(ks: KernelSet, w: GridFunction | None, g: Grid, n_diag: int, use_dt: bool):
     """R (``n_diag = 1``) or Q (``use_dt``) of ``ks`` on ``w``, None for
     the all-ones weight."""
-    ks._require("iterated")
     if w is not None:
         _require_grid(w, g, "w")
     out = np.zeros(g.m + 1)
     with np.errstate(all="ignore"):
-        for i, k in enumerate(ks.kernels, start=1):
+        for name, k in ks.named():
             if not (k.is_zero or use_dt and k.dt_is_zero):
-                out += _term(k, None if w is None else w.values, g, n_diag, use_dt, f"k{i}")
+                out += _term(k, None if w is None else w.values, g, n_diag, use_dt, name)
     return GridFunction(g, out)
 
 
 def apply_R(ks: KernelSet, w: GridFunction | None, g: Grid) -> GridFunction:
-    """The functional R[w](t) of an iterated kernel set.
+    """The functional R[w](t) of a kernel set.
 
     R[w](t) = k1(t,t) w(t) + sum_{i>=2} iterated integral of
     k_i(t, t, t2, ..., ti) w(ti) over the simplex below t; ``w`` None is
-    the all-ones weight.  A separable k_i costs O(m * (i-1) * rank);
+    the all-ones weight.  A pair {k, h} is walked as (k1, k2) = (k, h),
+    an absent kernel skipped.  A separable k_i costs O(m * (i-1) * rank);
     otherwise it costs O(m^i).
     """
     return _weighted_sum(ks, w, g, n_diag=1, use_dt=False)
@@ -642,7 +652,7 @@ def apply_Q(ks: KernelSet, w: GridFunction | None, g: Grid) -> GridFunction:
     Each term integrates the kernel's ``dt_body``, its exact t-derivative.
     The bounds that use Q need dk_i/dt >= 0 on the simplex: a negative or
     non-finite sample raises :class:`NegativeKernelError` or
-    :class:`KernelError` naming ``d/dt of kernel k<i>`` and the outer node.
+    :class:`KernelError` naming ``d/dt of kernel <name>`` and the outer node.
     A ``dt_body`` that separates into nonnegative factors costs
     O(m * i * rank); otherwise k_i costs O(m^(i+1)).
     """

@@ -123,12 +123,7 @@ class DiscreteRhs:
     def __init__(self, inst: ProblemInstance):
         self.inst = inst
         self.g = inst.grid
-        ks = inst.kernels
-        if ks.form == "iterated":
-            terms = [(k, f"k{i}") for i, k in enumerate(ks.kernels, start=1)]
-        else:
-            terms = [(ks.k, "k"), (ks.h, "h")]
-        present = [(k, label) for k, label in terms if k is not None and not k.is_zero]
+        present = [(k, name) for name, k in inst.kernels.named() if not k.is_zero]
         # The first node to which the dense maps spread a non-finite w
         # (see __call__), as kernels._term_map shapes them: a kernel that
         # reads t is a matrix (node 0); a t-free one of arity >= 2, a

@@ -15,16 +15,9 @@ from gronwall.bounds import (
     ProblemInstance,
     bykov_bound,
     compute_bound,
-    cor35_bound,
     detect_horizon,
     lemma21_bound,
     lemma31_bound,
-    thm22_bound,
-    thm23_bound,
-    thm24_bound,
-    thm32_bound,
-    thm33_bound,
-    thm34_bound,
 )
 from gronwall.grid import Grid, GridFunction
 from gronwall.kernels import Kernel, KernelSet
@@ -234,24 +227,24 @@ class TestBykov:
 
 class TestThm22:
     def test_zero_datum(self):
-        br = thm22_bound(make_instance("thm22", 2.0, 0, 1, 16, a_expr="0", b_expr="1"))
+        br = compute_bound(make_instance("thm22", 2.0, 0, 1, 16, a_expr="0", b_expr="1"))
         assert br.full
         assert (br.bound.values == 0.0).all()
 
     def test_riccati(self):
         inst = make_instance("thm22", 2.0, 0, 0.9, 1024, a_expr="1", b_expr="1")
-        br = thm22_bound(inst)
+        br = compute_bound(inst)
         assert at(br.bound, 0.5) == pytest.approx(2.0, abs=1e-3)
         # the bracket never reaches 1 before beta=0.9, so the horizon is full
         assert br.full and br.horizon_time == 0.9
         wide = make_instance("thm22", 2.0, 0, 1.2, 1024, a_expr="1", b_expr="1")
-        brw = thm22_bound(wide)
+        brw = compute_bound(wide)
         assert abs(brw.horizon_time - 1.0) <= 2 * wide.grid.dt
         assert brw.horizon_kind is HorizonKind.P_BLOW_UP
 
     def test_kernel_only_blow_up(self):
         inst = make_instance("thm22", 2.0, 0, 2.0, 2048, a_expr="1", b_expr="0", k="1")
-        br = thm22_bound(inst)
+        br = compute_bound(inst)
         assert at(br.bound, 1.0) == pytest.approx(2.0, abs=1e-3)
         assert abs(br.horizon_time - math.sqrt(2.0)) <= 2 * inst.grid.dt
 
@@ -261,14 +254,14 @@ class TestThm23:
         inst = make_instance(
             "thm23", 2.0, 0, 1, 16, a=0.0, b_expr="1", sigma_expr="1"
         )
-        br = thm23_bound(inst)
+        br = compute_bound(inst)
         assert (br.bound.values == 0.0).all()
 
     def test_constant_sigma_no_kernels(self):
         inst = make_instance(
             "thm23", 2.0, 0, 1, 16, a=1.0, b_expr="0", sigma_expr="1"
         )
-        br = thm23_bound(inst)
+        br = compute_bound(inst)
         assert br.full
         assert np.abs(br.bound.values - math.e).max() <= 1e-9
 
@@ -276,49 +269,49 @@ class TestThm23:
         inst = make_instance(
             "thm23", 2.0, 0, 0.5, 2048, a=1.0, b_expr="1", sigma_expr="1"
         )
-        br = thm23_bound(inst)
+        br = compute_bound(inst)
         assert abs(br.horizon_time - 1.0 / math.e) <= 2 * inst.grid.dt
 
 
 class TestThm24:
     def test_zero_datum(self):
         inst = make_instance("thm24", 2.0, 0, 1, 16, a=0.0, b_expr="1", ks=["1"])
-        br = thm24_bound(inst)
+        br = compute_bound(inst)
         assert br.full
         assert (br.bound.values == 0.0).all()
 
     def test_single_kernel_riccati(self):
         inst = make_instance("thm24", 2.0, 0, 0.9, 1024, a=1.0, b_expr="1", ks=["1"])
-        br = thm24_bound(inst)
+        br = compute_bound(inst)
         exact = 1.0 / (1.0 - inst.grid.nodes)
         assert np.abs(br.bound.values - exact).max() <= 1e-3
         wide = make_instance("thm24", 2.0, 0, 1.2, 1024, a=1.0, b_expr="1", ks=["1"])
-        assert abs(thm24_bound(wide).horizon_time - 1.0) <= 2 * wide.grid.dt
+        assert abs(compute_bound(wide).horizon_time - 1.0) <= 2 * wide.grid.dt
 
     def test_two_kernels_horizon(self):
         inst = make_instance(
             "thm24", 2.0, 0, 0.9, 1024, a=1.0, b_expr="1", ks=["1", "1"]
         )
-        br = thm24_bound(inst)
+        br = compute_bound(inst)
         assert abs(br.horizon_time - (math.sqrt(3.0) - 1.0)) <= 2 * inst.grid.dt
 
 
 class TestThm32:
     def test_p_zero(self):
         inst = make_instance("thm32", 0.0, 0, 1, 16, a=1.0, b_expr="1")
-        br = thm32_bound(inst)
+        br = compute_bound(inst)
         assert br.full
         assert np.allclose(br.bound.values, 1.0 + inst.grid.nodes, atol=1e-14)
 
     def test_riccati(self):
         inst = make_instance("thm32", 2.0, 0, 2, 2048, a=1.0, b_expr="1")
-        br = thm32_bound(inst)
+        br = compute_bound(inst)
         assert at(br.bound, 0.5) == pytest.approx(2.0, abs=1e-4)
         assert abs(br.horizon_time - 1.0) <= 2 * inst.grid.dt
 
     def test_p_half(self):
         inst = make_instance("thm32", 0.5, 0, 1, 1024, a=1.0, b_expr="1")
-        br = thm32_bound(inst)
+        br = compute_bound(inst)
         assert br.full
         assert br.bound.values[-1] == pytest.approx(2.25, abs=1e-5)
 
@@ -328,7 +321,7 @@ class TestThm33:
         for p in (0.0, 0.5, 2.0, 3.0):
             i32 = make_instance("thm32", p, 0, 1, 256, a=0.7, b_expr="1+t", k="0.5")
             i33 = make_instance("thm33", p, 0, 1, 256, a_expr="0.7", b_expr="1+t", k="0.5")
-            b32, b33 = thm32_bound(i32), thm33_bound(i33)
+            b32, b33 = compute_bound(i32), compute_bound(i33)
             assert b32.horizon_node == b33.horizon_node
             assert b32.horizon_time == b33.horizon_time
             eq = (b32.bound.values == b33.bound.values) | (
@@ -338,12 +331,12 @@ class TestThm33:
 
     def test_p_zero_sloped_datum(self):
         inst = make_instance("thm33", 0.0, 0, 1, 16, a_expr="1+t", b_expr="1")
-        br = thm33_bound(inst)
+        br = compute_bound(inst)
         assert np.allclose(br.bound.values, 1.0 + 2.0 * inst.grid.nodes, atol=1e-14)
 
     def test_golden_ratio_horizon(self):
         inst = make_instance("thm33", 2.0, 0, 1, 2048, a_expr="1+t", b_expr="1")
-        br = thm33_bound(inst)
+        br = compute_bound(inst)
         assert at(br.bound, 0.5) == pytest.approx(6.0, abs=1e-3)
         golden = (math.sqrt(5.0) - 1.0) / 2.0
         assert abs(br.horizon_time - golden) <= 2 * inst.grid.dt
@@ -352,18 +345,18 @@ class TestThm33:
 class TestThm34:
     def test_single_kernel_riccati(self):
         inst = make_instance("thm34", 2.0, 0, 0.9, 1024, a=1.0, b_expr="1", ks=["1"])
-        br = thm34_bound(inst)
+        br = compute_bound(inst)
         exact = 1.0 / (1.0 - inst.grid.nodes)
         assert np.abs(br.bound.values - exact).max() <= 1e-3
 
     def test_p_zero_with_multiplier(self):
         inst = make_instance("thm34", 0.0, 0, 1, 16, a=1.0, b_expr="2", ks=["1"])
-        br = thm34_bound(inst)
+        br = compute_bound(inst)
         assert np.allclose(br.bound.values, 2.0 * (1.0 + inst.grid.nodes), atol=1e-13)
 
     def test_zero_kernels(self):
         inst = make_instance("thm34", 2.0, 0, 1, 16, a=1.5, b_expr="1+t", ks=["0"])
-        br = thm34_bound(inst)
+        br = compute_bound(inst)
         assert br.full
         assert np.allclose(br.bound.values, 1.5 * (1.0 + inst.grid.nodes), atol=1e-12)
 
@@ -371,18 +364,18 @@ class TestThm34:
 class TestCor35:
     def test_constant_kernel_riccati(self):
         inst = make_instance("cor35", 2.0, 0, 0.9, 1024, a=1.0, k="1")
-        br = cor35_bound(inst)
+        br = compute_bound(inst)
         exact = 1.0 / (1.0 - inst.grid.nodes)
         assert np.abs(br.bound.values - exact).max() <= 1e-3
 
     def test_shifted_kernel_uses_dt(self):
         inst = make_instance("cor35", 2.0, 0, 1.2, 2048, a=1.0, k="t-s")
-        br = cor35_bound(inst)
+        br = compute_bound(inst)
         assert at(br.bound, 1.0) == pytest.approx(2.0, abs=1e-3)
 
     def test_triple_kernel_p_zero(self):
         inst = make_instance("cor35", 0.0, 0, 1, 512, a=1.0, h="1")
-        br = cor35_bound(inst)
+        br = compute_bound(inst)
         exact = 1.0 + inst.grid.nodes**2 / 2.0
         assert np.abs(br.bound.values - exact).max() <= 1e-5
 
@@ -406,7 +399,7 @@ class TestReductionChains:
             "cor35", p, 0, 1, 512, a=1.0,
             k=Kernel(1, "t-s"), h=Kernel(2, "0.1"),
         )
-        b34, b35 = thm34_bound(i34), cor35_bound(i35)
+        b34, b35 = compute_bound(i34), compute_bound(i35)
         assert b34.horizon_node == b35.horizon_node
         n = min(b34.horizon_node, b35.horizon_node)
         diff = np.abs(b34.bound.values[: n + 1] - b35.bound.values[: n + 1])
@@ -419,7 +412,7 @@ class TestReductionChains:
             i33 = dataclasses.replace(
                 i32, theorem="thm33", a_const=None, a_fn=constant(i32.a_const, i32.grid)
             )
-            _assert_identical(thm32_bound(i32), thm33_bound(i33), i32, i33)
+            _assert_identical(compute_bound(i32), compute_bound(i33), i32, i33)
 
     @pytest.mark.parametrize("p", _SUITE_P["cor35"])
     def test_cor35_is_thm34_with_unit_multiplier(self, p):
@@ -429,13 +422,13 @@ class TestReductionChains:
                 i35, theorem="thm34", b=constant(1.0, i35.grid),
                 kernels=KernelSet.iterated([i35.kernels.k, i35.kernels.h]),
             )
-            _assert_identical(cor35_bound(i35), thm34_bound(i34), i35, i34)
+            _assert_identical(compute_bound(i35), compute_bound(i34), i35, i34)
 
     def test_thm32_p0_reduces_to_a_plus_integral(self):
         from gronwall.grid import cumulative_trapezoid
 
         inst = make_instance("thm32", 0.0, 0, 1, 128, a=0.3, b_expr="exp(t)")
-        br = thm32_bound(inst)
+        br = compute_bound(inst)
         direct = 0.3 + cumulative_trapezoid(inst.b).values
         assert (br.bound.values == direct).all()
 
@@ -450,7 +443,7 @@ class TestP1Continuity:
             inst = make_instance(
                 "thm22", 1.0 + delta, 0, 0.5, 512, a_expr="1", b_expr="1", k="1"
             )
-            br = thm22_bound(inst)
+            br = compute_bound(inst)
             dists.append(np.abs(br.bound.values - ref.values).max())
         assert dists[0] > dists[1] > dists[2]
 
@@ -461,7 +454,7 @@ class TestDataMonotonicity:
         bigger = make_instance(
             "thm32", 2.0, 0, 1.5, 512, a=1.0, b_expr="0.5", k="0.5 + 0.3*exp(s-t)"
         )
-        b0, b1 = thm32_bound(base), thm32_bound(bigger)
+        b0, b1 = compute_bound(base), compute_bound(bigger)
         n = min(b0.horizon_node, b1.horizon_node)
         assert (b1.bound.values[: n + 1] >= b0.bound.values[: n + 1]).all()
         assert b1.horizon_node <= b0.horizon_node
@@ -470,7 +463,7 @@ class TestDataMonotonicity:
         inst = make_instance(
             "thm22", 2.0, 0, 0.8, 512, a_expr="1+0.5*t", b_expr="0.3+t", k="0.2"
         )
-        br = thm22_bound(inst)
+        br = compute_bound(inst)
         assert (np.diff(br.bound.values[: br.horizon_node + 1]) >= 0).all()
 
 
@@ -480,7 +473,7 @@ class TestHorizonGridConsistency:
         times = {}
         for m in (256, 512):
             inst = make_instance("thm32", 2.0, 0, 2, m, a=1.0, b_expr=b_expr)
-            times[m] = thm32_bound(inst).horizon_time
+            times[m] = compute_bound(inst).horizon_time
         coarse_dt = 2.0 / 256
         assert abs(times[256] - times[512]) <= coarse_dt
 
@@ -531,6 +524,25 @@ class TestHypothesisValidation:
             make_instance(
                 "thm23", 2.0, 0, 1, 8, a=1.0, b_expr="1", sigma_expr="1", h="1"
             )
+
+    @pytest.mark.parametrize("theorem, a, fields, off_grid, message", [
+        ("thm22", None, {"a_fn": "1 + t", "b": "1"}, "a_fn", "a(t) must live on the instance grid"),
+        ("thm32", 1.0, {"b": "1"}, "b", "b(t) must live on the instance grid"),
+        ("thm23", 1.0, {"b": "1", "sigma": "1"}, "sigma",
+         "sigma(t) must live on the instance grid"),
+        ("bykov", -1.0, {"b": "1"}, None, "bykov requires a >= 0, got -1.0"),
+        ("thm32", 1.0, {}, None, "thm32 requires the coefficient b(t)"),
+        ("thm23", 1.0, {"b": "1"}, None, "thm23 requires the multiplier sigma(t)"),
+        ("thm32", 1.0, {"b": "1", "sigma": "1"}, None, "thm32 takes no sigma(t)"),
+    ], ids=["a-grid", "b-grid", "sigma-grid", "bykov-negative-a", "missing-b",
+            "missing-sigma", "sigma-off-thm23"])
+    def test_instance_data_errors(self, theorem, a, fields, off_grid, message):
+        g, other = Grid(0, 1, 8), Grid(0, 1, 16)
+        data = {name: gfn(other if name == off_grid else g, src) for name, src in fields.items()}
+        p = 1.0 if theorem == "bykov" else 2.0
+        with pytest.raises(HypothesisError) as err:
+            ProblemInstance(theorem, p, g, a_const=a, **data)
+        assert str(err.value) == message
 
     def test_cor35_takes_no_b(self):
         with pytest.raises(HypothesisError, match="no coefficient"):

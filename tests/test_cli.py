@@ -547,7 +547,7 @@ class TestKernelDerivative:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(["bound", "--config", cfg]) == 2
-        assert "d/dt of kernel k1 is non-finite at node 0" in capsys.readouterr().err
+        assert "d/dt of kernel k is non-finite at node 0" in capsys.readouterr().err
 
     def test_dense_map_meets_an_infinite_power_without_warnings(self, tmp_path, capsys):
         # k4 does not separate, so it is a dense matrix, and the bound applies
@@ -578,6 +578,40 @@ class TestExitCodes:
         cfg = write(tmp_path, "bad.cfg", mutate(RICCATI_CONFIG))
         assert cli.main(["bound", "--config", cfg]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, argv, message", [
+        ("[grid]", "[grid", ["bound"], "line 10: malformed section header"),
+        ("b_expr = 1", "b_expr 1", ["bound"], "line 8: expected 'key = value'"),
+        ("b_expr = 1", "b_expr =", ["bound"], "line 8: empty value for 'b_expr'"),
+        ("p = 2", "p = two", ["bound"], "line 4: p must be a number, got 'two'"),
+        ("m = 1024", "m = 1.5", ["bound"], "line 11: m must be an integer, got '1.5'"),
+        ("a = 1\n", "a_expr = 1 +\n", ["bound"], "line 7: a_expr: "),
+        ("theorem = thm32\n", "", ["bound"], "[problem] theorem is required"),
+        ("alpha = 0\n", "", ["bound"], "[problem] alpha is required"),
+        ("beta = 0.9\n", "", ["bound"], "[problem] beta is required"),
+        ("m = 1024\n", "", ["bound"], "[grid] m is required"),
+        ("p = 2\n", "", ["bound"], "[problem] p is required"),
+        ("thm32\np = 2\nalpha = 0\nbeta = 0.9\na = 1\nb_expr = 1\n",
+         "thm24\np = 2\nalpha = 0\nbeta = 0.9\na = 1\nb_expr = 1\nk_expr = 1\n", ["bound"],
+         "line 9: k_expr does not apply to thm24; use k1_expr..kn_expr"),
+        ("thm32\np = 2\nalpha = 0\nbeta = 0.9\na = 1\nb_expr = 1\n",
+         "thm23\np = 2\nalpha = 0\nbeta = 0.9\na = 1\nb_expr = 1\nh_expr = 1\n", ["bound"],
+         "line 9: thm23 has no triple-integral kernel h"),
+        ("thm32", "cor35", ["bound"], "line 8: cor35 has no coefficient b(t)"),
+        ("m = 1024", "m = 16", ["convergence", "--levels", "1"],
+         "convergence needs at least 2 levels"),
+        ("max_iter = 10000", "max_iter = 0", ["verify"], "line 15: max_iter must be at least 1"),
+    ], ids=["section-header", "no-equals", "empty-value", "not-a-number", "not-an-integer",
+            "bad-a-expr", "no-theorem", "no-alpha", "no-beta", "no-m", "no-p", "k-under-thm24",
+            "h-under-thm23", "b-under-cor35", "one-level", "max-iter-0"])
+    def test_each_config_error_exit_2(self, tmp_path, capsys, old, new, argv, message):
+        assert old in RICCATI_CONFIG
+        cfg = write(tmp_path, "bad.cfg", RICCATI_CONFIG.replace(old, new))
+        out = tmp_path / "out.csv"
+        assert cli.main([*argv, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_missing_file_exit_2(self, tmp_path):
         assert cli.main(["bound", "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -712,15 +746,18 @@ class TestExitCodes:
 # Kernels that decrease in t: the bounds that integrate dk/dt through Q
 # (cor35, thm34, thm24) do not hold for them, and the extremal exceeds
 # what the closed form would print.
+# Each config's decreasing kernel, named as the config names it, and the config.
 DECREASING_CONFIGS = {
-    "cor35": "theorem = cor35\np = 2\nalpha = 0\nbeta = 1\na = 1\n"
-             "k_expr = exp(-(t-s))\n",
-    "cor35-beta-0.5": "theorem = cor35\np = 2\nalpha = 0\nbeta = 0.5\na = 1\n"
-                      "k_expr = exp(-(t-s))\n",
-    "thm34": "theorem = thm34\np = 2\nalpha = 0\nbeta = 1\na = 1\nb_expr = 1\n"
-             "k1_expr = exp(-(t-s))\n",
-    "thm24": "theorem = thm24\np = 2\nalpha = 0\nbeta = 1\na = 0.5\nb_expr = 1\n"
-             "k1_expr = 2*exp(-3*(t-s))\n",
+    "cor35": ("k", "theorem = cor35\np = 2\nalpha = 0\nbeta = 1\na = 1\n"
+                   "k_expr = exp(-(t-s))\n"),
+    "cor35-beta-0.5": ("k", "theorem = cor35\np = 2\nalpha = 0\nbeta = 0.5\na = 1\n"
+                            "k_expr = exp(-(t-s))\n"),
+    "cor35-h": ("h", "theorem = cor35\np = 0.5\nalpha = 0\nbeta = 1\na = 1\n"
+                     "k_expr = 0.5*exp(t-s)\nh_expr = 2 - t\n"),
+    "thm34": ("k1", "theorem = thm34\np = 2\nalpha = 0\nbeta = 1\na = 1\nb_expr = 1\n"
+                    "k1_expr = exp(-(t-s))\n"),
+    "thm24": ("k1", "theorem = thm24\np = 2\nalpha = 0\nbeta = 1\na = 0.5\nb_expr = 1\n"
+                    "k1_expr = 2*exp(-3*(t-s))\n"),
 }
 
 
@@ -728,12 +765,14 @@ class TestDerivativeHypothesis:
     @pytest.mark.parametrize("command", ["bound", "verify"])
     @pytest.mark.parametrize("name", sorted(DECREASING_CONFIGS))
     def test_decreasing_kernel_exit_2(self, tmp_path, capsys, name, command):
-        text = "[problem]\n" + DECREASING_CONFIGS[name] + "[grid]\nm = 256\n"
+        kernel, problem = DECREASING_CONFIGS[name]
+        text = "[problem]\n" + problem + "[grid]\nm = 256\n"
         cfg = write(tmp_path, "dec.cfg", text)
         out = tmp_path / "out.csv"
         assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: d/dt of kernel k1 is negative (") and err.count("\n") == 1
+        assert err.startswith(f"error: d/dt of kernel {kernel} is negative (")
+        assert err.count("\n") == 1
         assert err.rstrip().endswith("at node 0")
         assert not out.exists()
 

@@ -41,3 +41,9 @@ def test_test_references_are_not_in_the_package(name):
 def test_picard_outcome_has_no_final_delta():
     fields = {f.name for f in dataclasses.fields(oracle.PicardOutcome)}
     assert fields == {"u", "status", "conv_node", "iterations", "diverged_node"}
+
+
+def test_compute_bound_is_the_one_instance_entry_point():
+    # The other exported bounds take raw data, not an instance.
+    names = {name for name in bounds.__all__ if name.endswith("_bound")}
+    assert names == {"compute_bound", "bykov_bound", "lemma21_bound", "lemma31_bound"}

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gronwall import expr
@@ -290,6 +291,21 @@ def test_separate_exp_kernel_factors():
     ((c, fs),) = separate(parse("0.3*exp(-(t-s))", VARS), ("t", "s"))
     assert c == 0.3
     assert fs == {"t": parse("exp(-t)", VARS), "s": parse("exp(s)", VARS)}
+
+
+@pytest.mark.parametrize("source, coef", [
+    ("exp(t - s + 1)", float(np.exp(1.0))),
+    # 1 + t reads one variable, so it stays inside the t factor exp(1 + t).
+    ("exp(1 + t - s)", 1.0),
+])
+def test_separate_exp_constant_term_is_the_coefficient(source, coef):
+    ((c, fs),) = separate(parse(source, VARS), ("t", "s"))
+    assert c == coef
+    assert fs["s"] == parse("exp(-s)", VARS)
+
+
+def test_separate_exp_of_an_overflowing_constant_gives_up():
+    assert separate(parse("exp(t - s + 800)", VARS), ("t", "s")) is None
 
 
 @pytest.mark.parametrize(

@@ -832,11 +832,11 @@ class TestOnesWeight:
                     calls.clear()
 
     @pytest.mark.parametrize("k,error,message", [
-        ("(t-s)^(-0.5)", KernelError, "kernel k1 is non-finite at node index (0,)"),
-        ("0.5*(t-s)^(-0.5)", KernelError, "kernel k1 is non-finite at node index (0,)"),
+        ("(t-s)^(-0.5)", KernelError, "kernel k is non-finite at node index (0,)"),
+        ("0.5*(t-s)^(-0.5)", KernelError, "kernel k is non-finite at node index (0,)"),
         ("exp(t-s)*(t-s-1)", NegativeKernelError,
-         "kernel k1 is negative (-1.000000e+00) at node index (0,)"),
-        ("(t - s)^0.5", KernelError, "d/dt of kernel k1 is non-finite at node 0"),
+         "kernel k is negative (-1.000000e+00) at node index (0,)"),
+        ("(t - s)^0.5", KernelError, "d/dt of kernel k is non-finite at node 0"),
     ])
     def test_a_pinned_difference_folds_but_errors_stay(self, k, error, message):
         # R pins s to t; t - t folds to 0, and the kernels that failed on

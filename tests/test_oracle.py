@@ -17,7 +17,7 @@ from conftest import (
     rhs_operator,
 )
 from gronwall import expr, kernels, oracle
-from gronwall.bounds import BoundResult, HypothesisError, compute_bound, thm32_bound
+from gronwall.bounds import BoundResult, HypothesisError, compute_bound
 from gronwall.grid import Grid, GridFunction
 from gronwall.kernels import Kernel, KernelError, NegativeKernelError
 from gronwall.oracle import (
@@ -185,28 +185,28 @@ class TestVerifyDominance:
         viol = {}
         for m in (2048, 4096, 16384):
             inst = make_instance("thm32", 2.0, 0, 0.5, m, a=1.0, b_expr="1")
-            br = thm32_bound(inst)
+            br = compute_bound(inst)
             out = picard_extremal(inst)
             rep = verify_dominance(out.u, br, out.conv_node)
             viol[m] = rep.max_violation
         assert 3.0 <= viol[2048] / viol[4096] <= 5.0
         inst = make_instance("thm32", 2.0, 0, 0.5, 16384, a=1.0, b_expr="1")
         rep = verify_dominance(
-            picard_extremal(inst).u, thm32_bound(inst), inst.grid.m
+            picard_extremal(inst).u, compute_bound(inst), inst.grid.m
         )
         assert rep.passed
         assert abs(rep.min_margin) <= 1e-8  # margin -> 0: bound is tight here
 
     def test_zero_function_dominated(self):
         inst = make_instance("thm32", 2.0, 0, 1, 128, a=1.0, b_expr="1", k="0.5")
-        br = thm32_bound(inst)
+        br = compute_bound(inst)
         rep = verify_dominance(constant(0.0, inst.grid), br, inst.grid.m)
         assert rep.passed
         assert rep.min_margin >= 1.0  # at least the datum
 
     def test_corrupted_bound_fails(self):
         inst = make_instance("thm32", 2.0, 0, 0.5, 512, a=1.0, b_expr="1")
-        br = thm32_bound(inst)
+        br = compute_bound(inst)
         out = picard_extremal(inst)
         bad = BoundResult(
             GridFunction(inst.grid, 0.5 * br.bound.values),
@@ -220,7 +220,7 @@ class TestVerifyDominance:
 
     def test_cut_labels(self):
         inst = make_instance("thm32", 2.0, 0, 2, 256, a=1.0, b_expr="1")
-        br = thm32_bound(inst)
+        br = compute_bound(inst)
         out = picard_extremal(inst)
         rep = verify_dominance(out.u, br, out.conv_node)
         assert rep.cut in ("horizon", "oracle", "none")
