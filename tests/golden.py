@@ -82,6 +82,17 @@ CONFIGS = {
         "[problem]\ntheorem = cor35\np = 0.5\nalpha = 0\nbeta = 1\na = 1\n"
         "k_expr = 0.5*exp(t-s)\nh_expr = 1 - t*(s - r)^1.5\n[grid]\nm = 16\n"
     ),
+    # thm23's multiplier sigma, the one family no other config reaches.
+    "thm23": (
+        "[problem]\ntheorem = thm23\np = 2\nalpha = 0\nbeta = 1\na = 0.5\n"
+        "b_expr = 0.3 + 0.2*t\nsigma_expr = 1 + 0.5*t\nk_expr = 0.4*exp(-(t-s))\n"
+        "[grid]\nm = 32\n"
+    ),
+    # thm24 with a constant datum; the iterated configs give it a(t).
+    "thm24_const_a": (
+        "[problem]\ntheorem = thm24\np = 2\nalpha = 0\nbeta = 1\na = 0.3\nb_expr = 1\n"
+        "k1_expr = 0.5*(1 + t*s)\nk2_expr = 0.25\n[grid]\nm = 32\n"
+    ),
 }
 
 

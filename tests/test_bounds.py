@@ -584,3 +584,82 @@ class TestDatumValues:
         inst = make_instance("thm33", 2.0, 0, 1, 16, a_expr="1 + t", b_expr="1")
         assert inst.a_values is inst.a_fn.values
         assert not inst.a_values.flags.writeable
+
+
+_G, _OFF_GRID = Grid(0, 1, 8), Grid(0, 1, 16)
+_PAIR_K = KernelSet.pair(Kernel(1, "1"))
+_PAIR_H = KernelSet.pair(None, Kernel(2, "1"))
+_ITER = KernelSet.iterated([Kernel(1, "1")])
+_THEOREM_NAMES = "('bykov', 'thm22', 'thm23', 'thm24', 'thm32', 'thm33', 'thm34', 'cor35')"
+
+
+@pytest.mark.parametrize("theorem, p, fields, message", [
+    ("thm99", 2.0, {"a_const": 1.0, "b": "1"},
+     f"unknown theorem 'thm99'; expected one of {_THEOREM_NAMES}"),
+    # p
+    ("bykov", 2.0, {"a_const": 1.0, "b": "1"}, "bykov is the linear case and requires p = 1"),
+    ("thm32", 1.0, {"a_const": 1.0, "b": "1"},
+     "thm32 is undefined at p = 1 (the formulas contain 1/(1-p)); "
+     "use bykov_bound for the linear case"),
+    ("thm22", 0.5, {"a_fn": "1", "b": "1"}, "thm22 requires p > 1, got 0.5"),
+    ("thm32", -1.0, {"a_const": 1.0, "b": "1"}, "thm32 requires p >= 0, got -1.0"),
+    # datum kind
+    ("thm32", 2.0, {"a_fn": "1", "b": "1"}, "thm32 takes a constant datum a"),
+    ("thm22", 2.0, {"a_const": 1.0, "b": "1"}, "thm22 takes a datum function a(t)"),
+    ("thm24", 2.0, {"a_const": 1.0, "a_fn": "1", "b": "1", "kernels": _ITER},
+     "thm24 takes exactly one of a / a(t)"),
+    # grids
+    ("thm22", 2.0, {"a_fn": ("off", "1 + t"), "b": "1"}, "a(t) must live on the instance grid"),
+    ("thm32", 2.0, {"a_const": 1.0, "b": ("off", "1")}, "b(t) must live on the instance grid"),
+    ("thm23", 2.0, {"a_const": 1.0, "b": "1", "sigma": ("off", "1")},
+     "sigma(t) must live on the instance grid"),
+    # datum rules
+    ("bykov", 1.0, {"a_const": -1.0, "b": "1"}, "bykov requires a >= 0, got -1.0"),
+    ("thm23", 2.0, {"a_const": -1.0, "b": "1", "sigma": "1"}, "thm23 requires a >= 0, got -1.0"),
+    ("thm32", 2.0, {"a_const": 0.0, "b": "1"}, "thm32 requires a > 0, got 0.0"),
+    ("thm34", 2.0, {"a_const": 0.0, "b": "1", "kernels": _ITER}, "thm34 requires a > 0, got 0.0"),
+    ("cor35", 2.0, {"a_const": 0.0}, "cor35 requires a > 0, got 0.0"),
+    ("thm22", 2.0, {"a_fn": "t - 0.25", "b": "1"}, "a(t) must be nonnegative; node 0 has -0.25"),
+    ("thm22", 2.0, {"a_fn": "t*(1 - t)", "b": "1"},
+     "a(t) must be nondecreasing; it drops by 0.015625 between nodes 4 and 5"),
+    ("thm33", 2.0, {"a_fn": "t", "b": "1"}, "a(t) must be positive; node 0 has 0.0"),
+    ("thm33", 2.0, {"a_fn": "0.25 - t", "b": "1"}, "a(t) must be positive; node 2 has 0.0"),
+    ("thm24", 2.0, {"a_const": -1.0, "b": "1", "kernels": _ITER},
+     "a(t) must be nonnegative; node 0 has -1.0"),
+    ("thm24", 2.0, {"a_fn": "t - 0.5", "b": "1", "kernels": _ITER},
+     "a(t) must be nonnegative; node 0 has -0.5"),
+    # b
+    ("thm32", 2.0, {"a_const": 1.0}, "thm32 requires the coefficient b(t)"),
+    ("cor35", 2.0, {"a_const": 1.0, "b": "1"}, "cor35 has no coefficient b(t)"),
+    ("thm32", 2.0, {"a_const": 1.0, "b": "0.25 - t"}, "b(t) must be nonnegative; node 3 has -0.125"),
+    ("thm24", 2.0, {"a_const": 1.0, "b": "t", "kernels": _ITER},
+     "b(t) must be positive; node 0 has 0.0"),
+    ("thm24", 2.0, {"a_const": 1.0, "b": "1 + t", "kernels": _ITER},
+     "a(t)/b(t) must be nondecreasing; it drops by 0.11111111111111116 between nodes 0 and 1"),
+    # sigma
+    ("thm23", 2.0, {"a_const": 1.0, "b": "1"}, "thm23 requires the multiplier sigma(t)"),
+    ("thm23", 2.0, {"a_const": 1.0, "b": "1", "sigma": "t - 0.5"},
+     "sigma(t) must be nonnegative; node 0 has -0.5"),
+    ("thm23", 2.0, {"a_const": 1.0, "b": "1", "sigma": "2 - t"},
+     "sigma(t) must be nondecreasing; it drops by 0.125 between nodes 0 and 1"),
+    ("thm32", 2.0, {"a_const": 1.0, "b": "1", "sigma": "1"}, "thm32 takes no sigma(t)"),
+    # kernel form
+    ("thm24", 2.0, {"a_const": 1.0, "b": "1"}, "thm24 requires an iterated kernel set k1..kn"),
+    ("thm34", 2.0, {"a_const": 1.0, "b": "1", "kernels": _PAIR_K},
+     "thm34 requires an iterated kernel set k1..kn"),
+    ("thm32", 2.0, {"a_const": 1.0, "b": "1", "kernels": _ITER},
+     "thm32 takes the kernel pair {k, h}"),
+    ("thm23", 2.0, {"a_const": 1.0, "b": "1", "sigma": "1", "kernels": _PAIR_H},
+     "thm23 has no triple-integral kernel h"),
+])
+def test_every_hypothesis_message_exactly(theorem, p, fields, message):
+    data = {}
+    for name, value in fields.items():
+        if isinstance(value, tuple):
+            value = gfn(_OFF_GRID, value[1])
+        elif isinstance(value, str):
+            value = gfn(_G, value)
+        data[name] = value
+    with pytest.raises(HypothesisError) as err:
+        ProblemInstance(theorem, p, _G, **data)
+    assert str(err.value) == message
