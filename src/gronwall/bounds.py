@@ -1,8 +1,10 @@
 """Explicit a priori bounds for Volterra inequalities with a u^p nonlinearity.
 
-``compute_bound`` is the one entry point: it looks the instance's theorem
-up in one table of private bodies.  Every nonlinear bound is Lemma 3.1's
-Bernoulli bracket, with q = 1 - p:
+The theorem table is ``_FAMILIES``, one row per theorem: its bound body,
+its hypotheses and the form of its right-hand side in the Picard oracle.
+``compute_bound`` is the one entry point: it runs the body of the
+instance's row.  Every nonlinear bound is Lemma 3.1's Bernoulli bracket,
+with q = 1 - p:
 
     bound(t) = F(t) [D(t)^q + q int_alpha^t I]^(1/q)
 
@@ -27,10 +29,23 @@ each pair runs one body.  The linear bykov bound has no bracket, and its
 horizon ends only where it overflows.  ``bykov_bound``, ``lemma21_bound``
 and ``lemma31_bound`` take raw data, not an instance.
 
-Instance hypotheses (nonnegativity, monotonicity, sign of p) are checked
-eagerly when a :class:`ProblemInstance` is built, with tolerance -1e-12
-and the first offending node named; the closed forms are meaningless off
-their hypotheses.
+A :class:`ProblemInstance` checks its row's hypotheses when it is built,
+in one walk over the row, since the closed forms are meaningless off them:
+
+    theorem  p     datum             b(t)            sigma(t)     kernels
+    bykov    = 1   a >= 0            >= 0            -            pair {k, h}
+    thm22    > 1   a(t) >= 0, incr.  >= 0            -            pair
+    thm23    > 1   a >= 0            >= 0            >= 0, incr.  k, no h
+    thm24    > 1   a or a(t) >= 0    > 0, a/b incr.  -            k1..kn
+    thm32    >= 0  a > 0             >= 0            -            pair
+    thm33    >= 0  a(t) > 0          >= 0            -            pair
+    thm34    >= 0  a > 0             >= 0            -            k1..kn
+    cor35    >= 0  a > 0             -               -            pair
+
+Here incr. is nondecreasing and - means not taken.  A rule on a function
+holds at every node within tolerance -1e-12 (> 0 strictly), and an error
+names the first node where it fails.  Adding a theorem is adding its row
+and its body.
 
 thm24, thm34 and cor35 integrate each kernel's t-derivative through Q, so
 they need k >= 0 and dk/dt >= 0 on the simplex.  Both are checked on the
@@ -47,6 +62,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -65,15 +81,6 @@ __all__ = [
     "bykov_bound",
     "compute_bound",
 ]
-
-THEOREMS = ("bykov", "thm22", "thm23", "thm24", "thm32", "thm33", "thm34", "cor35")
-
-_P_ABOVE_ONE = ("thm22", "thm23", "thm24")
-_P_SECTION3 = ("thm32", "thm33", "thm34", "cor35")
-_ITERATED = ("thm24", "thm34")
-_CONST_DATUM = ("bykov", "thm23", "thm32", "thm34", "cor35")
-_FN_DATUM = ("thm22", "thm33")
-
 
 class HypothesisError(ValueError):
     """A theorem hypothesis fails on the given data."""
@@ -148,10 +155,10 @@ def _all_valid(bracket: np.ndarray | None, bound: np.ndarray | None) -> bool:
     )
 
 
-def _check(f: GridFunction, name: str, rule: str) -> None:
-    """Raise :class:`HypothesisError` at the first node where ``f`` is not
-    ``rule``: "positive", or "nonnegative"/"nondecreasing" within NONNEG_TOL."""
-    v = f.values
+def _check(v: np.ndarray, name: str, rule: str) -> None:
+    """Raise :class:`HypothesisError` at the first node where the values
+    ``v`` of ``name`` are not ``rule``: "positive", or
+    "nonnegative"/"nondecreasing" within NONNEG_TOL."""
     if rule == "nondecreasing":
         v = v[1:] - v[:-1]
     bad = ~(v > 0) if rule == "positive" else v < NONNEG_TOL
@@ -168,9 +175,8 @@ def _check(f: GridFunction, name: str, rule: str) -> None:
 class ProblemInstance:
     """One inequality instance: theorem family, exponent, data and kernels.
 
-    The datum is either ``a_const`` or ``a_fn`` depending on the family;
-    ``sigma`` is the nondecreasing multiplier of thm23; ``kernels`` holds
-    the pair {k, h} or the iterated list per the family form.
+    The theorem's row of ``_FAMILIES`` says which of ``a_const`` and
+    ``a_fn``, ``b`` and ``sigma`` it takes, and its kernel form.
     """
 
     theorem: str
@@ -196,103 +202,62 @@ class ProblemInstance:
         return a
 
     def __post_init__(self):
-        t = self.theorem
-        if t not in THEOREMS:
+        t, p = self.theorem, self.p
+        row = _FAMILIES.get(t)
+        if row is None:
             raise HypothesisError(f"unknown theorem {t!r}; expected one of {THEOREMS}")
-        self._check_p()
-        self._check_datum()
-        self._check_coefficients()
-        self._check_kernels()
 
-    def _check_p(self):
-        p = self.p
-        t = self.theorem
-        if t == "bykov":
+        if row.p == "= 1":
             if p != 1.0:
-                raise HypothesisError("bykov is the linear case and requires p = 1")
-            return
-        if p == 1.0:
+                raise HypothesisError(f"{t} is the linear case and requires p = 1")
+        elif p == 1.0:
             raise HypothesisError(
                 f"{t} is undefined at p = 1 (the formulas contain 1/(1-p)); "
                 "use bykov_bound for the linear case"
             )
-        if t in _P_ABOVE_ONE and not p > 1.0:
-            raise HypothesisError(f"{t} requires p > 1, got {p}")
-        if t in _P_SECTION3 and not p >= 0.0:
-            raise HypothesisError(f"{t} requires p >= 0, got {p}")
+        elif not _HOLDS[row.p](p):
+            raise HypothesisError(f"{t} requires p {row.p}, got {p}")
 
-    def _check_datum(self):
-        t = self.theorem
-        if t in _CONST_DATUM:
-            if self.a_const is None or self.a_fn is not None:
-                raise HypothesisError(f"{t} takes a constant datum a")
-        elif t in _FN_DATUM:
-            if self.a_fn is None or self.a_const is not None:
-                raise HypothesisError(f"{t} takes a datum function a(t)")
-        else:  # thm24 accepts either
-            have = (self.a_const is not None) + (self.a_fn is not None)
-            if have != 1:
-                raise HypothesisError(f"{t} takes exactly one of a / a(t)")
+        given = [kind for kind, v in (("a", self.a_const), ("a(t)", self.a_fn)) if v is not None]
+        if len(given) != 1 or given[0] not in row.datum:
+            raise HypothesisError(f"{t} takes {_TAKES[row.datum]}")
         if self.a_fn is not None and self.a_fn.grid != self.grid:
             raise HypothesisError("a(t) must live on the instance grid")
+        for rule in row.a:
+            if rule not in _HOLDS:
+                _check(self.a_values, "a(t)", rule)
+            elif not _HOLDS[rule](self.a_const):
+                raise HypothesisError(f"{t} requires a {rule}, got {self.a_const}")
 
-        if t == "bykov" or t == "thm23":
-            if not self.a_const >= 0:
-                raise HypothesisError(f"{t} requires a >= 0, got {self.a_const}")
-        elif t in ("thm32", "thm34", "cor35"):
-            if not self.a_const > 0:
-                raise HypothesisError(f"{t} requires a > 0, got {self.a_const}")
-        elif t == "thm22":
-            _check(self.a_fn, "a(t)", "nonnegative")
-            _check(self.a_fn, "a(t)", "nondecreasing")
-        elif t == "thm33":
-            _check(self.a_fn, "a(t)", "positive")
-        elif t == "thm24":
-            a = GridFunction(self.grid, self.a_values)
-            _check(a, "a(t)", "nonnegative")
+        for name, f, rules, needs, takes_no in (
+            ("b(t)", self.b, row.b, "requires the coefficient", "has no coefficient"),
+            ("sigma(t)", self.sigma, row.sigma, "requires the multiplier", "takes no"),
+        ):
+            if rules is None:
+                if f is not None:
+                    raise HypothesisError(f"{t} {takes_no} {name}")
+                continue
+            if f is None:
+                raise HypothesisError(f"{t} {needs} {name}")
+            if f.grid != self.grid:
+                raise HypothesisError(f"{name} must live on the instance grid")
+            for rule in rules:
+                if rule != _RATIO_NONDECREASING:
+                    _check(f.values, name, rule)
+                else:  # an a/b past the float range is left to the bound
+                    with np.errstate(all="ignore"):
+                        _check(self.a_values / f.values, "a(t)/b(t)", "nondecreasing")
 
-    def _check_coefficients(self):
-        t = self.theorem
-        if t == "cor35":
-            if self.b is not None:
-                raise HypothesisError("cor35 has no coefficient b(t)")
-        else:
-            if self.b is None:
-                raise HypothesisError(f"{t} requires the coefficient b(t)")
-            if self.b.grid != self.grid:
-                raise HypothesisError("b(t) must live on the instance grid")
-            if t == "thm24":
-                _check(self.b, "b(t)", "positive")
-                with np.errstate(all="ignore"):  # an a/b past the float range is left to the bound
-                    ratio = GridFunction(self.grid, self.a_values / self.b.values)
-                    _check(ratio, "a(t)/b(t)", "nondecreasing")
-            else:
-                _check(self.b, "b(t)", "nonnegative")
-
-        if t == "thm23":
-            if self.sigma is None:
-                raise HypothesisError("thm23 requires the multiplier sigma(t)")
-            if self.sigma.grid != self.grid:
-                raise HypothesisError("sigma(t) must live on the instance grid")
-            _check(self.sigma, "sigma(t)", "nonnegative")
-            _check(self.sigma, "sigma(t)", "nondecreasing")
-        elif self.sigma is not None:
-            raise HypothesisError(f"{t} takes no sigma(t)")
-
-    def _check_kernels(self):
-        t = self.theorem
         ks = self.kernels
-        if t in _ITERATED:
+        if row.kernels == "iterated":
             if ks is None or ks.form != "iterated":
                 raise HypothesisError(f"{t} requires an iterated kernel set k1..kn")
-            return
-        if ks is None:
+        elif ks is None:
             object.__setattr__(self, "kernels", KernelSet.pair(None, None))
-            return
-        if ks.form != "pair":
+        elif ks.form != "pair":
             raise HypothesisError(f"{t} takes the kernel pair {{k, h}}")
-        if t == "thm23" and ks.h is not None:
-            raise HypothesisError("thm23 has no triple-integral kernel h")
+        elif row.kernels == "k" and ks.h is not None:
+            raise HypothesisError(f"{t} has no triple-integral kernel h")
 
 
 def lemma21_bound(
@@ -432,18 +397,53 @@ def _multiplier_q_form(inst: ProblemInstance) -> BoundResult:
     return _bracket_bound(inst.grid, b, inst.a_const, inst.q, RQ, HorizonKind.Q_POSITIVITY)
 
 
-_BOUND_DISPATCH = {
-    "bykov": _bykov,
-    "thm22": _thm22,
-    "thm23": _thm23,
-    "thm24": _thm24,
-    "thm32": _pair_q_form,
-    "thm33": _pair_q_form,
-    "thm34": _multiplier_q_form,
-    "cor35": _multiplier_q_form,
+class _Family(NamedTuple):
+    """One theorem: its bound body and its hypotheses, in checking order."""
+
+    body: Callable[[ProblemInstance], BoundResult]
+    p: str  # a key of _HOLDS, or "= 1" for bykov's linear case
+    datum: tuple  # the datum kinds accepted, a constant "a" or a function "a(t)"
+    a: tuple  # rules on the datum: a key of _HOLDS tests a constant a, any other is _check's
+    b: tuple | None  # _check's rules on b(t), None if the theorem takes no b(t)
+    sigma: tuple | None  # the same on sigma(t)
+    kernels: str  # the kernel form: "pair", "k" (the pair without h) or "iterated"
+    rhs: str  # the Picard oracle's right-hand side, DiscreteRhs._tail_<rhs>
+
+
+_HOLDS = {"> 1": lambda x: x > 1.0, ">= 0": lambda x: x >= 0.0, "> 0": lambda x: x > 0.0}
+_A, _FN, _EITHER = ("a",), ("a(t)",), ("a", "a(t)")
+_TAKES = {
+    _A: "a constant datum a",
+    _FN: "a datum function a(t)",
+    _EITHER: "exactly one of a / a(t)",
 }
+_NONNEG = ("nonnegative",)
+_NONNEG_NONDECREASING = ("nonnegative", "nondecreasing")
+# thm24's rule on the ratio of its datum to b, checked after b's own.
+_RATIO_NONDECREASING = "a/b nondecreasing"
+
+_FAMILIES = {
+    # theorem: body, p, datum, rules on a, b(t) and sigma(t), kernel form, rhs
+    "bykov": _Family(_bykov, "= 1", _A, (">= 0",), _NONNEG, None,
+                     "pair", "cumulative"),
+    "thm22": _Family(_thm22, "> 1", _FN, _NONNEG_NONDECREASING, _NONNEG, None,
+                     "pair", "cumulative"),
+    "thm23": _Family(_thm23, "> 1", _A, (">= 0",), _NONNEG, _NONNEG_NONDECREASING,
+                     "k", "sigma_cumulative"),
+    "thm24": _Family(_thm24, "> 1", _EITHER, _NONNEG, ("positive", _RATIO_NONDECREASING), None,
+                     "iterated", "datum_plus_b_times"),
+    "thm32": _Family(_pair_q_form, ">= 0", _A, ("> 0",), _NONNEG, None,
+                     "pair", "cumulative"),
+    "thm33": _Family(_pair_q_form, ">= 0", _FN, ("positive",), _NONNEG, None,
+                     "pair", "cumulative"),
+    "thm34": _Family(_multiplier_q_form, ">= 0", _A, ("> 0",), _NONNEG, None,
+                     "iterated", "b_times_a_plus"),
+    "cor35": _Family(_multiplier_q_form, ">= 0", _A, ("> 0",), None, None,
+                     "pair", "b_times_a_plus"),
+}
+THEOREMS = tuple(_FAMILIES)
 
 
 def compute_bound(inst: ProblemInstance) -> BoundResult:
     """Evaluate the instance's bound family, the one entry point for all eight."""
-    return _BOUND_DISPATCH[inst.theorem](inst)
+    return _FAMILIES[inst.theorem].body(inst)

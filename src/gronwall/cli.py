@@ -10,6 +10,9 @@ study that leaves nothing to compare.  ``main`` can be called repeatedly
 in one process; every call shares one argument parser, built on the
 first call.
 
+The ``[problem]`` keys that a theorem takes are read from its row of the
+theorem table ``bounds._FAMILIES``, as its instance's hypotheses are.
+
 A kernel's t-derivative is always the exact derivative of its expression.
 The ``k_dt_expr``, ``h_dt_expr`` and ``k<i>_dt_expr`` keys are kept only
 because the benchmark's configs carry them: each is checked against the
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _ITERATED, HypothesisError, ProblemInstance, THEOREMS, compute_bound
+from .bounds import _FAMILIES, HypothesisError, ProblemInstance, THEOREMS, compute_bound
 from .expr import Expr, ExprError, evaluate, parse, to_source
 from .grid import Grid, GridError, sample
 from .kernels import Kernel, KernelError, KernelSet
@@ -228,16 +231,16 @@ class ScenarioConfig:
                 raise ConfigError(f"[problem] {name} is required")
         if self.m is None:
             raise ConfigError("[grid] m is required")
+        row = _FAMILIES[self.theorem]
         p = self.p
         if p is None:
-            if self.theorem != "bykov":
+            if row.p != "= 1":
                 raise ConfigError("[problem] p is required")
             p = 1.0
         g = Grid(self.alpha, self.beta, self.m)
-        kernels = None
-        if self.theorem in _ITERATED:
+        if row.kernels == "iterated":
             kernels = KernelSet.iterated(self.iterated)
-        elif self.pair_k is not None or self.pair_h is not None:
+        else:
             kernels = KernelSet.pair(self.pair_k, self.pair_h)
         return ProblemInstance(
             self.theorem,
@@ -271,8 +274,9 @@ def load_config(path: str) -> ScenarioConfig:
             problem["a_expr"][1],
         )
 
+    row = _FAMILIES[theorem]
     iterated_present = [i for i in range(1, 5) if f"k{i}_expr" in problem]
-    if theorem in _ITERATED:
+    if row.kernels == "iterated":
         for key in ("k_expr", "h_expr", "sigma_expr"):
             if key in problem:
                 raise ConfigError(
@@ -294,19 +298,20 @@ def load_config(path: str) -> ScenarioConfig:
                 f"{key} does not apply to {theorem}; use k_expr/h_expr",
                 problem[key][1],
             )
-        if theorem == "thm23":
+        if row.kernels == "k":
             for key in ("h_expr", "h_dt_expr"):
                 if key in problem:
                     raise ConfigError(
-                        "thm23 has no triple-integral kernel h", problem[key][1]
+                        f"{theorem} has no triple-integral kernel h", problem[key][1]
                     )
-    if theorem != "thm23" and "sigma_expr" in problem:
+    if row.sigma is None and "sigma_expr" in problem:
+        takers = ", ".join(t for t, r in _FAMILIES.items() if r.sigma is not None)
         raise ConfigError(
-            f"sigma_expr applies only to thm23, not {theorem}",
+            f"sigma_expr applies only to {takers}, not {theorem}",
             problem["sigma_expr"][1],
         )
-    if theorem == "cor35" and "b_expr" in problem:
-        raise ConfigError("cor35 has no coefficient b(t)", problem["b_expr"][1])
+    if row.b is None and "b_expr" in problem:
+        raise ConfigError(f"{theorem} has no coefficient b(t)", problem["b_expr"][1])
 
     tol = _take_float(data["oracle"], "tol")
     max_iter = _take_int(data["oracle"], "max_iter")
@@ -322,10 +327,11 @@ def load_config(path: str) -> ScenarioConfig:
         sigma_expr=_take_expr(problem, "sigma_expr", {"t"}),
         pair_k=_take_kernel(problem, 1, "k_expr", "k_dt_expr", interval),
         pair_h=_take_kernel(problem, 2, "h_expr", "h_dt_expr", interval),
-        iterated=tuple(
+        # Every k<i> is taken, so that a k<i>_dt_expr without its k<i>_expr is refused.
+        iterated=tuple(filter(None, (
             _take_kernel(problem, i, f"k{i}_expr", f"k{i}_dt_expr", interval)
-            for i in iterated_present
-        ),
+            for i in range(1, 5)
+        ))),
         m=_take_int(data["grid"], "m"),
         tol=DEFAULT_TOL if tol is None else tol,
         max_iter=DEFAULT_MAX_ITER if max_iter is None else max_iter,

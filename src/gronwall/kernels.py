@@ -76,7 +76,7 @@ summed by ``_sum_term_maps``.
 
 An error names a kernel as its config does (k and h in a pair, k1..kn in
 an iterated set): ``KernelSet.named`` gives the names to R, Q and the
-oracle's right-hand side, and ``compute_B`` names its k and h itself.
+oracle's right-hand side, and ``compute_B``, whose k and h are a pair too.
 """
 
 from __future__ import annotations
@@ -611,22 +611,19 @@ def compute_B(
     O(m^2) and a t-dependent h-term O(m^3).
     """
     _require_grid(b, g, "b")
-    out = b.values.copy()
-    with np.errstate(all="ignore"):
-        for kern, arity, label in ((k, 1, "k"), (h, 2, "h")):
-            if kern is not None and not kern.is_zero:
-                if kern.arity != arity:
-                    raise KernelError(f"{label} must have arity {arity}, got {kern.arity}")
-                out += _term(kern, None, g, n_diag=0, label=label)
-    return GridFunction(g, out)
+    return _weighted_sum(KernelSet.pair(k, h), None, g, 0, False, b.values.copy())
 
 
-def _weighted_sum(ks: KernelSet, w: GridFunction | None, g: Grid, n_diag: int, use_dt: bool):
+def _weighted_sum(
+    ks: KernelSet, w: GridFunction | None, g: Grid, n_diag: int, use_dt: bool, out=None
+):
     """R (``n_diag = 1``) or Q (``use_dt``) of ``ks`` on ``w``, None for
-    the all-ones weight."""
+    the all-ones weight; each term is added in place to ``out`` (zeros if
+    None) in kernel order, so B is the pair's terms on ones added to b."""
     if w is not None:
         _require_grid(w, g, "w")
-    out = np.zeros(g.m + 1)
+    if out is None:
+        out = np.zeros(g.m + 1)
     with np.errstate(all="ignore"):
         for name, k in ks.named():
             if not (k.is_zero or use_dt and k.dt_is_zero):

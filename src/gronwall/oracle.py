@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundResult, ProblemInstance, compute_bound
+from .bounds import _FAMILIES, BoundResult, ProblemInstance, compute_bound
 from .expr import BinOp, Num, free_variables, parse
 from .grid import Grid, GridFunction, _running_trapezoid_raw
 from .kernels import Kernel, KernelSet, _apply_parts, _chain, _sum_term_maps
@@ -144,14 +144,7 @@ class DiscreteRhs:
             else:
                 self.chains.append(chain)
         self.A, self.C = _sum_term_maps(dense, self.g)
-        if inst.theorem == "thm24":
-            self._tail = self._tail_datum_plus_b_times
-        elif inst.theorem in ("thm34", "cor35"):
-            self._tail = self._tail_b_times_a_plus
-        elif inst.theorem == "thm23":
-            self._tail = self._tail_thm23
-        else:
-            self._tail = self._tail_cumulative
+        self._tail = getattr(self, "_tail_" + _FAMILIES[inst.theorem].rhs)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         inst = self.inst
@@ -181,15 +174,16 @@ class DiscreteRhs:
             return self._tail(inst, w, acc, dt)
 
     # The datum and the outer factor, applied in place to the kernel sum
-    # ``acc`` (a new array); one of these is picked per theorem.
+    # ``acc`` (a new array); the theorem's row in ``bounds._FAMILIES``
+    # names the one it takes.
     @staticmethod
-    def _tail_datum_plus_b_times(inst, w, acc, dt):  # thm24
+    def _tail_datum_plus_b_times(inst, w, acc, dt):  # a(t) + b(t) acc
         acc *= inst.b.values
         acc += inst.a_values
         return acc
 
     @staticmethod
-    def _tail_b_times_a_plus(inst, w, acc, dt):  # thm34, and cor35 with b = 1
+    def _tail_b_times_a_plus(inst, w, acc, dt):  # b(t) (a + acc), an absent b is 1
         acc += inst.a_const
         if inst.b is not None:
             acc *= inst.b.values
@@ -205,7 +199,7 @@ class DiscreteRhs:
         return acc
 
     @staticmethod
-    def _tail_thm23(inst, w, acc, dt):  # sigma (a + int_a^t ...), a constant
+    def _tail_sigma_cumulative(inst, w, acc, dt):  # sigma (a + int_a^t ...), a constant
         acc = DiscreteRhs._tail_cumulative(inst, w, acc, dt)
         acc *= inst.sigma.values
         return acc
@@ -402,7 +396,7 @@ def random_instance(theorem: str, seed: int, m: int = 256) -> ProblemInstance:
         return ProblemInstance("cor35", p, g, a_const=c[4], kernels=kernels)
     k = Kernel(1, BinOp("*", Num(c[2]), _DECAYING))
     kernels = KernelSet.pair(k, h)
-    if theorem in ("thm22", "thm33"):
+    if "a(t)" in _FAMILIES[theorem].datum:
         a_fn = GridFunction(g, c[4] + c[5] * T)
         return ProblemInstance(theorem, p, g, a_fn=a_fn, b=b, kernels=kernels)
-    return ProblemInstance("thm32", p, g, a_const=c[4], b=b, kernels=kernels)
+    return ProblemInstance(theorem, p, g, a_const=c[4], b=b, kernels=kernels)

@@ -122,6 +122,24 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="k_dt_expr given without"):
             load_config(write(tmp_path, "bad.cfg", text))
 
+    @pytest.mark.parametrize("theorem, kernels, orphan", [
+        ("thm32", "", "k1_dt_expr = banana("),
+        ("thm34", "k1_expr = 1\n", "k3_dt_expr = nonsense("),
+        ("thm24", "k1_expr = 1\n", "k2_dt_expr = 0"),
+    ], ids=["thm32-k1", "thm34-k3", "thm24-k2"])
+    def test_iterated_dt_without_body(self, tmp_path, capsys, theorem, kernels, orphan):
+        text = (
+            f"[problem]\ntheorem = {theorem}\np = 2\nalpha = 0\nbeta = 1\na = 1\n"
+            f"b_expr = 1\n{kernels}{orphan}\n[grid]\nm = 16\n"
+        )
+        key = orphan.split()[0]
+        line = text.splitlines().index(orphan) + 1
+        with pytest.raises(ConfigError) as err:
+            load_config(write(tmp_path, "bad.cfg", text))
+        assert str(err.value) == f"line {line}: {key} given without {key.replace('_dt', '')}"
+        assert cli.main(["horizon", "--config", str(tmp_path / "bad.cfg")]) == 2
+        assert capsys.readouterr().err == f"error: {err.value}\n"
+
     def test_duplicate_key(self, tmp_path):
         text = RICCATI_CONFIG.replace("a = 1", "a = 1\na = 2")
         with pytest.raises(ConfigError, match="duplicate"):

@@ -130,6 +130,12 @@ class TestComputeB:
         with pytest.raises(KernelError, match="non-finite"):
             compute_B(constant(0.0, g), Kernel(1, "1/(t-s)"), None, g)
 
+    @pytest.mark.parametrize("k, h", [(Kernel(2, "1"), None), (None, Kernel(1, "1"))])
+    def test_wrong_arity_kernel_rejected(self, k, h):
+        g = Grid(0, 1, 8)
+        with pytest.raises(KernelError, match="must have arity"):
+            compute_B(constant(0.0, g), k, h, g)
+
 
 class TestComputeB1:
     """thm23's B1 = b + int k: compute_B without h."""
