@@ -277,7 +277,7 @@ def load_config(path: str) -> ScenarioConfig:
     row = _FAMILIES[theorem]
     iterated_present = [i for i in range(1, 5) if f"k{i}_expr" in problem]
     if row.kernels == "iterated":
-        for key in ("k_expr", "h_expr", "sigma_expr"):
+        for key in ("k_expr", "h_expr"):
             if key in problem:
                 raise ConfigError(
                     f"{key} does not apply to {theorem}; use k1_expr..kn_expr",

@@ -33,14 +33,21 @@ arrays, so call overhead, not arithmetic, sets its price.  A sweep is
 therefore one pass under one ``errstate``: each chain's rank-one parts
 applied in turn, unit factors skipped (``1.0 * x == x`` bit for bit),
 the theorem's tail picked once per operator, and every temporary
-updated in place.  ``picard_extremal`` keeps its own bookkeeping to one
-escape test and an in-place ``delta`` per sweep.
+updated in place.  A test on a whole array is one reduction, and the
+nodewise array is built only when the reduction fails: the operator
+tests w for a non-finite value by its sum, and ``picard_extremal``'s
+escape, decrease and convergence tests read a max or a min, so its
+bookkeeping is eight numpy calls per sweep.  Each shortcut gives the
+bits of the nodewise form (``tests/conftest.py`` keeps that form as the
+reference).
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -143,7 +150,9 @@ class DiscreteRhs:
                 dense.append((k, label))
             else:
                 self.chains.append(chain)
-        self.A, self.C = _sum_term_maps(dense, self.g)
+        self.A = self.C = None
+        if dense:
+            self.A, self.C = _sum_term_maps(dense, self.g)
         self._tail = getattr(self, "_tail_" + _FAMILIES[inst.theorem].rhs)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
@@ -165,7 +174,10 @@ class DiscreteRhs:
             if self.C is not None:
                 C = self.C
                 acc += _running_trapezoid_raw(C * w if C.ndim == 1 else C @ w, dt)
-            if self.nan_from is not None and not np.isfinite(w).all():
+            # A finite sum means a finite w; an overflowing one is settled
+            # by the exact test.
+            if (self.nan_from is not None and not math.isfinite(np.add.reduce(w))
+                    and not np.isfinite(w).all()):
                 # Not causal, on purpose: a dense matrix map spreads a
                 # non-finite w through 0 * inf to every node from nan_from
                 # on, and the suite's verdicts rest on that (ROADMAP items
@@ -216,6 +228,13 @@ def picard_extremal(
     change drops below ``tol``, any node passes the divergence limit, or
     ``max_iter`` sweeps elapse.  Iterates are checked to be nodewise
     nondecreasing every sweep; the Volterra operator guarantees it.
+
+    Each test is one reduction; the node it names (the first escape, the
+    first fall) is looked up only when it fails.  ``delta``, the relative
+    change, is divided in place and keeps its sign: below the first escape
+    it is nonnegative, and ``conv_node`` takes its absolute value once.
+    When node 0 escapes, ``delta`` and so ``conv_node`` are those of the
+    sweep before.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -230,29 +249,30 @@ def picard_extremal(
     with np.errstate(all="ignore"):
         for iterations in range(1, max_iter + 1):
             un = op(u)
-            inside = np.abs(un) <= DIVERGENCE_LIMIT  # NaN and inf fail too
-            if not inside.all():
+            if not np.maximum.reduce(np.abs(un)) <= DIVERGENCE_LIMIT:  # a NaN max fails
                 # Volterra causality: nodes below the first escape never see
                 # the diverging tail, so keep iterating that prefix to
                 # convergence (partial certification over it is the point).
+                inside = np.abs(un) <= DIVERGENCE_LIMIT  # NaN and inf fail too
                 end = diverged_node = min(end, int(np.argmin(inside)))
             if end == 0:
                 status = PicardStatus.DIVERGED
                 u = un
                 break
-            step = un - u
-            fell = step[:end] < 0  # exactly where un < u
-            if fell.any():
+            # The signed relative change: |x| / s == |x / s| bit for bit, so
+            # its absolute value waits for conv_node; below `end` it is
+            # nonnegative once the decrease test has passed.
+            delta = un - u
+            if np.fmin.reduce(delta[:end]) < 0:  # skips NaN, as `delta < 0` does
+                node = int(np.argmax(delta[:end] < 0))
                 raise OracleError(
-                    f"Picard iterates decreased at node {int(np.argmax(fell))}: "
-                    "monotonicity violated"
+                    f"Picard iterates decreased at node {node}: monotonicity violated"
                 )
-            delta = np.abs(step, out=step)
             scale = np.abs(u)
             scale += 1.0
             delta /= scale
             u = un
-            if delta[:end].max() < tol:
+            if np.maximum.reduce(delta[:end]) < tol:
                 status = (
                     PicardStatus.DIVERGED
                     if diverged_node is not None
@@ -263,9 +283,10 @@ def picard_extremal(
         if status is PicardStatus.CONVERGED:
             conv_node = m
         else:
-            ok = delta < tol
+            ok = np.abs(delta) < tol
             conv_node = m if ok.all() else int(np.argmin(ok)) - 1
-    u = np.where(np.isfinite(u), u, np.nan)
+        if not math.isfinite(np.add.reduce(u)):  # else nothing to replace
+            u = np.where(np.isfinite(u), u, np.nan)
     return PicardOutcome(
         u=GridFunction(inst.grid, u),
         status=status,
@@ -362,6 +383,13 @@ _DECAYING = parse("exp(-(t-t1))", {"t", "t1"})
 _GROWING = parse("exp(t-t1)", {"t", "t1"})
 
 
+@lru_cache(maxsize=1)
+def _unit_grid(m: int) -> Grid:
+    """The grid of [0, 1] at ``m``; the last one is kept, so that a run of
+    instances at one m shares it."""
+    return Grid(0.0, 1.0, m)
+
+
 def random_instance(theorem: str, seed: int, m: int = 256) -> ProblemInstance:
     """One member of the random verification family on [0, 1].
 
@@ -378,15 +406,18 @@ def random_instance(theorem: str, seed: int, m: int = 256) -> ProblemInstance:
     their leading coefficient, every instance shares the separation and
     the factor samples that the templates (and ``Num(1.0)`` for the
     constant h) keep on themselves, cor35's k pinned to the diagonal
-    included, since pinning folds its ``t-t`` to 0.
+    included, since pinning folds its ``t-t`` to 0.  Consecutive
+    instances at one m share one ``Grid``, so its nodes are made once,
+    and p is drawn with ``rng.integers``, the draw ``rng.choice(ps)``
+    makes (``bench/families.suite_draw`` uses the latter).
     """
     if theorem not in _SUITE_P:
         raise ValueError(f"no random family for {theorem!r}")
     rng = np.random.default_rng(seed)
     c = rng.uniform(0.0, 1.0, 6).tolist()
     ps = _SUITE_P[theorem]
-    p = ps[rng.choice(len(ps))]  # the draw rng.choice(ps) makes
-    g = Grid(0.0, 1.0, m)
+    p = ps[rng.integers(len(ps))]  # the draw rng.choice(ps) makes
+    g = _unit_grid(m)
     T = g.nodes
     b = GridFunction(g, c[0] + c[1] * T)
     h = Kernel(2, Num(c[3]))

@@ -631,6 +631,19 @@ class TestExitCodes:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("theorem", ["thm24", "thm34"])
+    def test_sigma_under_an_iterated_theorem_names_its_takers(self, tmp_path, capsys, theorem):
+        # The multiplier is refused as on every theorem without one, not
+        # with the iterated kernels offered in its place.
+        text = RICCATI_CONFIG.replace(
+            "theorem = thm32", f"theorem = {theorem}"
+        ).replace("b_expr = 1\n", "b_expr = 1\nk1_expr = 1\nsigma_expr = 1\n")
+        cfg = write(tmp_path, "bad.cfg", text)
+        assert cli.main(["bound", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line 10: sigma_expr applies only to thm23, not {theorem}\n"
+        )
+
     def test_missing_file_exit_2(self, tmp_path):
         assert cli.main(["bound", "--config", str(tmp_path / "nope.cfg")]) == 2
 

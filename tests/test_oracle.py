@@ -1,5 +1,9 @@
+import contextlib
 import dataclasses
+import importlib.util
 import math
+import os
+import sys
 from unittest import mock
 
 import numpy as np
@@ -8,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    ReferenceRhs,
     at,
     check_admissible,
     closed_form,
     constant,
     first_nonfinite_node,
     make_instance,
+    reference_picard_extremal,
     rhs_operator,
 )
 from gronwall import expr, kernels, oracle
@@ -293,6 +299,26 @@ class TestRandomFamily:
             assert hash(inst.kernels.h.body) == hash(h.body)
             assert type(inst.p) is float and inst.p == p, (theorem, seed)
 
+    def test_p_is_the_benchmark_draw_past_the_default_seeds(self, monkeypatch):
+        # bench/families.suite_draw rebuilds each suite case from its seed
+        # with rng.choice; random_instance must make the same draw.
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "families.py")
+        spec = importlib.util.spec_from_file_location("bench_families", path)
+        families = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, families)  # for its dataclasses
+        spec.loader.exec_module(families)
+        for theorem in oracle.SUITE_FAMILIES:
+            for seed in range(500):
+                _, p = families.suite_draw(theorem, seed)
+                assert random_instance(theorem, seed, m=4).p == p, (theorem, seed)
+
+    def test_instances_at_one_m_share_one_grid(self):
+        a = random_instance("thm32", 1, m=16)
+        b = random_instance("cor35", 2, m=16)
+        assert a.grid is b.grid and a.b.grid is a.grid
+        c = random_instance("thm22", 3, m=32)
+        assert c.grid == Grid(0.0, 1.0, 32) and c.grid is not a.grid
+
     def test_makes_no_parse_call(self, monkeypatch):
         def parse(*args):
             raise AssertionError(f"parse{args}")
@@ -520,3 +546,126 @@ class TestNonFiniteWeight:
         for out in (op(u), dense_rhs(inst)(u)):
             assert np.isfinite(out[:first_bad]).all()
             assert not np.isfinite(out[first_bad:]).any()
+
+
+# --- bit for bit against the earlier operator call and Picard loop ---------
+
+# ROADMAP item 1's thm24 config: the kernel reads t, so the NaN line sets
+# every node, node 0 escapes, and conv_node is the sweep before's 43.
+NAN_VERDICT_THM24 = ("thm24", 2.0, dict(
+    a_expr="0.5*(1 + t)", b_expr="0.4 + 0.2*t",
+    ks=["0.5 + 0.5*exp(t)*exp(t1)*(1 + t1*t1)"]))
+
+
+def dense_maps(dense):
+    """Every kernel as a dense map while in effect, ``nan_from`` kept."""
+    if dense:
+        return mock.patch.object(oracle, "_chain", lambda *args: None)
+    return contextlib.nullcontext()
+
+
+def outcome_or_error(picard, inst, **kwargs):
+    try:
+        return picard(inst, **kwargs)
+    except oracle.OracleError as err:
+        return str(err)
+
+
+def assert_same_outcome(got, ref):
+    if isinstance(ref, str):
+        assert got == ref
+        return
+    assert np.array_equal(got.u.values, ref.u.values, equal_nan=True)
+    assert got.status is ref.status
+    assert got.conv_node == ref.conv_node
+    assert got.iterations == ref.iterations
+    assert got.diverged_node == ref.diverged_node
+
+
+class TestMatchesTheReference:
+    """The operator call and the Picard loop are bit for bit the earlier
+    ones of ``conftest``, on chains and on the dense maps alike."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(separable_instances(), st.booleans(), st.sampled_from((3, 8, oracle.DEFAULT_MAX_ITER)))
+    def test_picard(self, inst, dense, max_iter):
+        with dense_maps(dense):
+            got = outcome_or_error(picard_extremal, inst, max_iter=max_iter)
+            ref = outcome_or_error(reference_picard_extremal, inst, max_iter=max_iter)
+        assert_same_outcome(got, ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(separable_instances(), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_operator(self, inst, dense, seed):
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(0.0, 2.0, inst.grid.m + 1)
+        blown = u.copy()
+        blown[rng.integers(0, inst.grid.m + 1)] = rng.choice([np.inf, np.nan])
+        with dense_maps(dense):
+            op, ref = DiscreteRhs(inst), ReferenceRhs(inst)
+        for x in (u, blown):
+            assert np.array_equal(op(x), ref(x), equal_nan=True)
+
+    def test_node_0_escapes_with_a_stale_conv_node(self):
+        theorem, p, data = NAN_VERDICT_THM24
+        inst = make_instance(theorem, p, 0, 1, 64, **data)
+        got = picard_extremal(inst)
+        assert_same_outcome(got, reference_picard_extremal(inst))
+        assert got.status is PicardStatus.DIVERGED
+        assert (got.diverged_node, got.conv_node) == (0, 43)
+        assert np.isnan(got.u.values).all()
+
+    @pytest.mark.parametrize("max_iter,conv_node", [(3, 0), (8, 33), (12, 102)])
+    def test_max_iter(self, max_iter, conv_node):
+        inst = make_instance("thm32", 2.0, 0, 0.9, 256, a=1.0, b_expr="1")
+        got = picard_extremal(inst, max_iter=max_iter)
+        assert_same_outcome(got, reference_picard_extremal(inst, max_iter=max_iter))
+        assert got.status is PicardStatus.MAX_ITER
+        assert (got.iterations, got.conv_node) == (max_iter, conv_node)
+
+    def test_finite_w_whose_sum_overflows(self):
+        # The one-reduction test reads an infinite sum, so it must fall
+        # through to the exact test, which finds w finite: no NaN line.
+        inst = make_instance("thm32", 2.0, 0, 1, 16, a=0.5, b_expr="1", k="exp(-(t-s))")
+        op = DiscreteRhs(inst)
+        assert op.nan_from == 0
+        u = np.ones(inst.grid.m + 1)
+        u[[3, 7]] = 1e154
+        w = u**2
+        with np.errstate(over="ignore"):
+            assert np.isfinite(w).all() and not math.isfinite(np.add.reduce(w))
+        got = op(u)
+        assert np.isfinite(got).all()
+        assert np.array_equal(got, ReferenceRhs(inst)(u))
+
+    @pytest.mark.parametrize("iterates,expected", [
+        # Node 3 escapes while the prefix has converged; node 4 falls past
+        # the escape, so its |delta| bounds conv_node.
+        ([[1, 1, 1, 3e12, 3e12], [1, 1, 1, 3e12, 2e12]], (PicardStatus.DIVERGED, 3, 1, 3)),
+        # A NaN below the escape does not hide a fall at another node.
+        ([[1, np.nan, 1, 1, 1], [0.5, 1, 1, 1, 1]], "decreased at node 0"),
+        # The escaped tail stays finite, but its sum overflows.
+        ([[1, 1, 1, 1, 1], [1, 1, 1e308, 1e308, 1e308]], (PicardStatus.DIVERGED, 2, 1, 1)),
+    ], ids=["tail-falls-past-the-escape", "nan-beside-a-fall", "finite-tail-sum-overflows"])
+    def test_scripted_iterates(self, monkeypatch, iterates, expected):
+        inst = make_instance("thm32", 2.0, 0, 1, 4, a=1.0, b_expr="1")
+
+        def run(picard):
+            queue = [np.array(x, dtype=float) for x in iterates]
+            for cls in (DiscreteRhs, ReferenceRhs):
+                monkeypatch.setattr(cls, "__call__", lambda op, u: queue.pop(0))
+            return outcome_or_error(picard, inst)
+
+        got = run(picard_extremal)
+        assert_same_outcome(got, run(reference_picard_extremal))
+        if isinstance(expected, str):
+            assert expected in got
+        else:
+            assert (got.status, got.diverged_node, got.iterations, got.conv_node) == expected
+
+    def test_blow_up_to_inf_reads_nan(self):
+        # A t-free arity-1 kernel has no NaN line: the tail overflows to inf.
+        inst = make_instance("thm32", 2.0, 0, 2, 256, a=1.0, b_expr="1", k="0.5")
+        ref = reference_picard_extremal(inst)
+        assert_same_outcome(picard_extremal(inst), ref)
+        assert np.isnan(ref.u.values).any()
