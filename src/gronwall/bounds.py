@@ -21,13 +21,11 @@ F (1 - (p-1) int I)^(1/(1-p)), which is the case D = 1.
     thm32/33  1           sup a     B                        q_positivity
     thm34     b(t)        a         (R+Q)[b^p]               q_positivity
     cor35     1           a         (R+Q)[1] on (k, h)       q_positivity
-    lemma31   exp(int b)  v(alpha)  k exp(-q int b)          q_positivity
 
 Here B = b + int k + int int h (``compute_B``; B1 omits h) and s = sigma(t).
 thm32 is thm33 with a constant datum and cor35 is thm34 with b = 1, so
 each pair runs one body.  The linear bykov bound has no bracket, and its
-horizon ends only where it overflows.  ``bykov_bound``, ``lemma21_bound``
-and ``lemma31_bound`` take raw data, not an instance.
+horizon ends only where it overflows.
 
 A :class:`ProblemInstance` checks its row's hypotheses when it is built,
 in one walk over the row, since the closed forms are meaningless off them:
@@ -66,8 +64,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .grid import Grid, GridFunction, _running_trapezoid_raw, cumulative_trapezoid
-from .kernels import NONNEG_TOL, Kernel, KernelSet, apply_Q, apply_R, compute_B
+from .grid import Grid, GridFunction, _running_trapezoid_raw
+from .kernels import NONNEG_TOL, KernelSet, apply_Q, apply_R, compute_B
 
 __all__ = [
     "HorizonKind",
@@ -76,9 +74,6 @@ __all__ = [
     "ProblemInstance",
     "THEOREMS",
     "detect_horizon",
-    "lemma21_bound",
-    "lemma31_bound",
-    "bykov_bound",
     "compute_bound",
 ]
 
@@ -213,7 +208,7 @@ class ProblemInstance:
         elif p == 1.0:
             raise HypothesisError(
                 f"{t} is undefined at p = 1 (the formulas contain 1/(1-p)); "
-                "use bykov_bound for the linear case"
+                "use theorem bykov for the linear case"
             )
         elif not _HOLDS[row.p](p):
             raise HypothesisError(f"{t} requires p {row.p}, got {p}")
@@ -260,41 +255,6 @@ class ProblemInstance:
             raise HypothesisError(f"{t} has no triple-integral kernel h")
 
 
-def lemma21_bound(
-    v0: float, b: GridFunction, f: GridFunction, g: Grid
-) -> GridFunction:
-    """Linear comparison bound: v0*exp(Cb) + int f(s) exp(Cb(t)-Cb(s)) ds."""
-    Cb = cumulative_trapezoid(b).values
-    with np.errstate(all="ignore"):
-        E = np.exp(Cb)
-        inner = cumulative_trapezoid(GridFunction(g, f.values * np.exp(-Cb))).values
-        out = v0 * E + E * inner
-    return GridFunction(g, out)
-
-
-def lemma31_bound(
-    v_alpha: float, b: GridFunction, k: GridFunction, p: float, g: Grid
-) -> BoundResult:
-    """Bernoulli-type bound for v' <= b v + k v^p with v(alpha) <= v_alpha.
-
-    The bound is ``exp(Cb) [v_alpha^q + q int k exp(-q Cb)]^(1/q)`` with
-    ``Cb = int b``; ``k`` may change sign, so the bracket can reach zero
-    for either sign of q, and its first crossing is the horizon.
-    """
-    if not v_alpha > 0:
-        raise HypothesisError(f"lemma31 requires v(alpha) > 0, got {v_alpha}")
-    if p == 1.0:
-        raise HypothesisError("p = 1 is the linear case; use lemma21_bound")
-    if not p >= 0:
-        raise HypothesisError(f"lemma31 requires p >= 0, got {p}")
-    q = 1.0 - p
-    Cb = cumulative_trapezoid(b).values
-    with np.errstate(all="ignore"):
-        factor = np.exp(Cb)
-        integrand = k.values * np.exp(-q * Cb)
-    return _bracket_bound(g, factor, v_alpha, q, integrand, HorizonKind.Q_POSITIVITY)
-
-
 def _bracket_bound(
     g: Grid, factor, datum, q: float, integrand: np.ndarray, kind: HorizonKind
 ) -> BoundResult:
@@ -318,22 +278,12 @@ def _bracket_bound(
     return BoundResult(GridFunction(g, vals), node, time, crossed)
 
 
-def bykov_bound(
-    a: float, b: GridFunction, k: Kernel | None, h: Kernel | None, g: Grid
-) -> GridFunction:
-    """Exponential bound a*exp(int B) for the linear (p = 1) inequality."""
-    if not a >= 0:
-        raise HypothesisError(f"bykov requires a >= 0, got {a}")
-    B = compute_B(b, k, h, g)
-    with np.errstate(all="ignore"):
-        out = a * np.exp(cumulative_trapezoid(B).values)
-    return GridFunction(g, out)
-
-
 def _bykov(inst: ProblemInstance) -> BoundResult:
-    """bykov_bound with its horizon: it ends only where the bound overflows."""
+    """The linear bound a exp(int B); its horizon ends only where it overflows."""
     g = inst.grid
-    vals = bykov_bound(inst.a_const, inst.b, inst.kernels.k, inst.kernels.h, g).values.copy()
+    B = compute_B(inst.b, inst.kernels.k, inst.kernels.h, g)
+    with np.errstate(all="ignore"):
+        vals = inst.a_const * np.exp(_running_trapezoid_raw(B.values, g.dt))
     node, time, kind = detect_horizon(g, None, vals)
     vals[node + 1 :] = np.nan
     return BoundResult(GridFunction(g, vals), node, time, kind)

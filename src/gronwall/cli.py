@@ -34,7 +34,7 @@ import numpy as np
 from .bounds import _FAMILIES, HypothesisError, ProblemInstance, THEOREMS, compute_bound
 from .expr import Expr, ExprError, evaluate, parse, to_source
 from .grid import Grid, GridError, sample
-from .kernels import Kernel, KernelError, KernelSet
+from .kernels import MAX_ITERATED_KERNELS, Kernel, KernelError, KernelSet
 from .oracle import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -51,7 +51,9 @@ _PROBLEM_KEYS = {
     "theorem", "p", "alpha", "beta", "a", "a_expr", "b_expr", "sigma_expr",
     "k_expr", "k_dt_expr", "h_expr", "h_dt_expr",
 }
-for _i in range(1, 5):
+# The indices i of the iterated kernels' k<i>_expr keys.
+_ITERATED_INDICES = range(1, MAX_ITERATED_KERNELS + 1)
+for _i in _ITERATED_INDICES:
     _PROBLEM_KEYS.add(f"k{_i}_expr")
     _PROBLEM_KEYS.add(f"k{_i}_dt_expr")
 
@@ -275,7 +277,7 @@ def load_config(path: str) -> ScenarioConfig:
         )
 
     row = _FAMILIES[theorem]
-    iterated_present = [i for i in range(1, 5) if f"k{i}_expr" in problem]
+    iterated_present = [i for i in _ITERATED_INDICES if f"k{i}_expr" in problem]
     if row.kernels == "iterated":
         for key in ("k_expr", "h_expr"):
             if key in problem:
@@ -316,12 +318,17 @@ def load_config(path: str) -> ScenarioConfig:
     tol = _take_float(data["oracle"], "tol")
     max_iter = _take_int(data["oracle"], "max_iter")
     interval = (_take_float(problem, "alpha"), _take_float(problem, "beta"))
+    p, a = _take_float(problem, "p"), _take_float(problem, "a")
+    # Before any kernel is taken: a given *_dt_expr is checked on [alpha, beta].
+    for key, value in (("alpha", interval[0]), ("beta", interval[1]), ("a", a), ("p", p)):
+        if value is not None and not np.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}", problem[key][1])
     cfg = ScenarioConfig(
         theorem=theorem,
-        p=_take_float(problem, "p"),
+        p=p,
         alpha=interval[0],
         beta=interval[1],
-        a_const=_take_float(problem, "a"),
+        a_const=a,
         a_expr=_take_expr(problem, "a_expr", {"t"}),
         b_expr=_take_expr(problem, "b_expr", {"t"}),
         sigma_expr=_take_expr(problem, "sigma_expr", {"t"}),
@@ -330,7 +337,7 @@ def load_config(path: str) -> ScenarioConfig:
         # Every k<i> is taken, so that a k<i>_dt_expr without its k<i>_expr is refused.
         iterated=tuple(filter(None, (
             _take_kernel(problem, i, f"k{i}_expr", f"k{i}_dt_expr", interval)
-            for i in range(1, 5)
+            for i in _ITERATED_INDICES
         ))),
         m=_take_int(data["grid"], "m"),
         tol=DEFAULT_TOL if tol is None else tol,
@@ -338,9 +345,6 @@ def load_config(path: str) -> ScenarioConfig:
         seed=_take_int(data["run"], "seed"),
         cases=_take_int(data["run"], "cases"),
     )
-    for key, value in (("a", cfg.a_const), ("p", cfg.p)):
-        if value is not None and not np.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {value}", problem[key][1])
     if not 0 < cfg.tol < np.inf:
         raise ConfigError(
             f"tol must be positive and finite, got {cfg.tol}",

@@ -82,8 +82,6 @@ DIVERGENCE_LIMIT = 1e12
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10000
 
-SUITE_FAMILIES = ("thm22", "thm32", "thm33", "cor35")
-
 
 class OracleError(RuntimeError):
     """The Picard oracle leaves nothing to compare, or its iterates decreased."""
@@ -249,12 +247,13 @@ def picard_extremal(
     with np.errstate(all="ignore"):
         for iterations in range(1, max_iter + 1):
             un = op(u)
-            if not np.maximum.reduce(np.abs(un)) <= DIVERGENCE_LIMIT:  # a NaN max fails
+            # Only nodes below the first escape can move it; a NaN max fails.
+            if not np.maximum.reduce(np.abs(un[:end])) <= DIVERGENCE_LIMIT:
                 # Volterra causality: nodes below the first escape never see
                 # the diverging tail, so keep iterating that prefix to
                 # convergence (partial certification over it is the point).
-                inside = np.abs(un) <= DIVERGENCE_LIMIT  # NaN and inf fail too
-                end = diverged_node = min(end, int(np.argmin(inside)))
+                inside = np.abs(un[:end]) <= DIVERGENCE_LIMIT  # NaN and inf fail too
+                end = diverged_node = int(np.argmin(inside))
             if end == 0:
                 status = PicardStatus.DIVERGED
                 u = un
@@ -378,6 +377,7 @@ _SUITE_P = {
     "thm33": (0.0, 0.5, 2.0, 3.0),
     "cor35": (0.0, 0.5, 2.0, 3.0),
 }
+SUITE_FAMILIES = tuple(_SUITE_P)
 # The double kernels' shapes, times c2 in random_instance.
 _DECAYING = parse("exp(-(t-t1))", {"t", "t1"})
 _GROWING = parse("exp(t-t1)", {"t", "t1"})

@@ -67,6 +67,12 @@ CONFIGS = {
         "[problem]\ntheorem = bykov\nalpha = 0.5\nbeta = 5.5\na = 0\nb_expr = 1\n"
         "h_expr = exp(t+2)\n[grid]\nm = 64\n"
     ),
+    # The one run of the running-sum dense map C @ w and of nan_from = 1:
+    # a t-free h, so verify refuses Picard's node 0 below a later horizon.
+    "thm32_dense_running_sum": (
+        "[problem]\ntheorem = thm32\np = 2\nalpha = 0\nbeta = 1\na = 1\nb_expr = 1\n"
+        "k_expr = 0.5\nh_expr = 0.5*(s - r)^1.5\n[grid]\nm = 64\n"
+    ),
     # The oracle's dense NaN spread gives verify a NaN verdict.
     "thm24_nan_verdict": (
         "[problem]\ntheorem = thm24\np = 2\nalpha = 0\nbeta = 1\na_expr = 0.5*(1 + t)\n"

@@ -13,12 +13,10 @@ from gronwall.bounds import (
     HorizonKind,
     HypothesisError,
     ProblemInstance,
-    bykov_bound,
     compute_bound,
     detect_horizon,
-    lemma21_bound,
-    lemma31_bound,
 )
+from gronwall.cli import HORIZON_GUARD
 from gronwall.grid import Grid, GridFunction
 from gronwall.kernels import Kernel, KernelSet
 from gronwall.oracle import _SUITE_P, picard_extremal, random_instance
@@ -160,69 +158,19 @@ class TestOverflowHorizon:
         assert np.isfinite(br.bound.values).all()
 
 
-class TestLemma21:
-    def test_all_zero_is_constant(self):
-        g = Grid(0, 1, 16)
-        out = lemma21_bound(1.0, constant(0.0, g), constant(0.0, g), g)
-        assert (out.values == 1.0).all()
-
-    def test_exponential_growth(self):
-        g = Grid(0, 1, 1024)
-        out = lemma21_bound(1.0, constant(1.0, g), constant(0.0, g), g)
-        assert out.values[-1] == pytest.approx(math.e, rel=1e-5)
-
-    def test_pure_forcing(self):
-        g = Grid(0, 1, 8)
-        out = lemma21_bound(0.0, constant(0.0, g), constant(1.0, g), g)
-        assert np.allclose(out.values, g.nodes, atol=1e-14)
-
-
-class TestLemma31:
-    def test_p_zero_linear_growth(self):
-        g = Grid(0, 1, 16)
-        br = lemma31_bound(1.0, constant(0.0, g), constant(1.0, g), 0.0, g)
-        assert br.full
-        assert np.allclose(br.bound.values, 1.0 + g.nodes, atol=1e-14)
-
-    def test_riccati_blow_up(self):
-        g = Grid(0, 2, 2048)
-        br = lemma31_bound(1.0, constant(0.0, g), constant(1.0, g), 2.0, g)
-        assert at(br.bound, 0.5) == pytest.approx(2.0, abs=1e-4)
-        assert abs(br.horizon_time - 1.0) <= 2 * g.dt
-        assert br.horizon_kind is HorizonKind.Q_POSITIVITY
-
-    def test_pure_linear_term(self):
-        g = Grid(0, 1, 1024)
-        br = lemma31_bound(1.0, constant(1.0, g), constant(0.0, g), 2.0, g)
-        assert br.full
-        assert br.bound.values[-1] == pytest.approx(math.e, abs=1e-5)
-
-    def test_p_one_rejected(self):
-        g = Grid(0, 1, 4)
-        with pytest.raises(HypothesisError, match="lemma21"):
-            lemma31_bound(1.0, constant(0.0, g), constant(1.0, g), 1.0, g)
-
-
 class TestBykov:
     def test_zero_datum(self):
-        g = Grid(0, 1, 16)
-        out = bykov_bound(0.0, constant(1.0, g), Kernel(1, "1"), None, g)
-        assert (out.values == 0.0).all()
+        inst = make_instance("bykov", 1.0, 0, 1, 16, a=0.0, b_expr="1", k="1")
+        assert (compute_bound(inst).bound.values == 0.0).all()
 
     def test_bellman_case(self):
-        g = Grid(0, 1, 1024)
-        out = bykov_bound(1.0, constant(1.0, g), None, None, g)
-        assert out.values[-1] == pytest.approx(math.e, abs=1e-5)
+        inst = make_instance("bykov", 1.0, 0, 1, 1024, a=1.0, b_expr="1")
+        assert compute_bound(inst).bound.values[-1] == pytest.approx(math.e, abs=1e-5)
 
     def test_double_integral_case(self):
-        g = Grid(0, 1, 1024)
-        out = bykov_bound(1.0, constant(0.0, g), Kernel(1, "1"), None, g)
-        assert out.values[-1] == pytest.approx(math.exp(0.5), abs=1e-5)
-
-    def test_negative_datum_rejected(self):
-        g = Grid(0, 1, 4)
-        with pytest.raises(HypothesisError):
-            bykov_bound(-1.0, constant(1.0, g), None, None, g)
+        inst = make_instance("bykov", 1.0, 0, 1, 1024, a=1.0, b_expr="0", k="1")
+        out = compute_bound(inst).bound.values
+        assert out[-1] == pytest.approx(math.exp(0.5), abs=1e-5)
 
 
 class TestThm22:
@@ -433,18 +381,97 @@ class TestReductionChains:
         assert (br.bound.values == direct).all()
 
 
+# Coefficients of the row relations' instances on [0, beta]: the datum a,
+# b = c0 + c1 t, k = c2 exp(-(t-s)) (cor35's growing c2 exp(t-s) for the
+# iterated rows), h = c3 and, for a datum function, a + c4 t.
+_RELATION_DRAWS = st.fixed_dictionaries({
+    "p": st.sampled_from((1.5, 2.0, 3.0, 4.0)),
+    "m": st.sampled_from((32, 64, 256)),
+    "beta": st.floats(0.5, 3.0),
+    "a": st.floats(0.1, 1.0),
+    "c": st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+})
+
+
+def _relation_instance(theorem, d, **data):
+    c = d["c"]
+    data.setdefault("b_expr", f"{c[0]!r} + {c[1]!r}*t")
+    return make_instance(theorem, d["p"], 0, d["beta"], d["m"], **data)
+
+
+def _compared(*results):
+    """The nodes on which rows are compared: up to HORIZON_GUARD of the way
+    to their earliest horizon time, as ``gronwall convergence`` cuts."""
+    g = results[0].bound.grid
+    t_cut = min(r.horizon_time for r in results)
+    if not all(r.full for r in results):
+        t_cut = g.alpha + HORIZON_GUARD * (t_cut - g.alpha)
+    return g.nodes <= t_cut
+
+
+class TestRowRelations:
+    """Rows that bound one extremal check each other at round-off: two
+    identities, within 1e-11 relative and with the same horizon node, and
+    two orderings, within 1e-12 relative."""
+
+    @staticmethod
+    def _assert_identity(br, ref):
+        assert br.horizon_node == ref.horizon_node
+        on = _compared(br, ref)
+        x, y = br.bound.values[on], ref.bound.values[on]
+        assert (np.abs(x - y) <= 1e-11 * np.abs(y)).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(_RELATION_DRAWS)
+    def test_thm22_with_a_constant_datum_is_thm32(self, d):
+        c = d["c"]
+        pair = {"k": f"{c[2]!r}*exp(-(t-s))", "h": f"{c[3]!r}"}
+        thm22 = _relation_instance("thm22", d, a_expr=repr(d["a"]), **pair)
+        thm32 = _relation_instance("thm32", d, a=d["a"], **pair)
+        self._assert_identity(compute_bound(thm22), compute_bound(thm32))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_RELATION_DRAWS)
+    def test_thm24_with_unit_b_and_a_constant_datum_is_thm34(self, d):
+        c = d["c"]
+        ks = [f"{c[2]!r}*exp(t-t1)", f"{c[3]!r}"]
+        thm24 = _relation_instance("thm24", d, a=d["a"], b_expr="1", ks=ks)
+        thm34 = _relation_instance("thm34", d, a=d["a"], b_expr="1", ks=ks)
+        self._assert_identity(compute_bound(thm24), compute_bound(thm34))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_RELATION_DRAWS)
+    def test_thm22_is_at_most_thm33(self, d):
+        c = d["c"]
+        data = {"a_expr": f"{d['a']!r} + {c[4]!r}*t", "k": f"{c[2]!r}*exp(-(t-s))",
+                "h": f"{c[3]!r}"}
+        b22 = compute_bound(_relation_instance("thm22", d, **data))
+        b33 = compute_bound(_relation_instance("thm33", d, **data))
+        on = _compared(b22, b33)
+        x, y = b22.bound.values[on], b33.bound.values[on]
+        assert (x <= y + 1e-12 * np.abs(y)).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(_RELATION_DRAWS)
+    def test_thm23_with_unit_sigma_is_at_least_e_times_thm32(self, d):
+        k = f"{d['c'][2]!r}*exp(-(t-s))"
+        b23 = compute_bound(_relation_instance("thm23", d, a=d["a"], sigma_expr="1", k=k))
+        b32 = compute_bound(_relation_instance("thm32", d, a=d["a"], k=k))
+        on = _compared(b23, b32)
+        x, y = b23.bound.values[on], math.e * b32.bound.values[on]
+        assert (x >= y - 1e-12 * np.abs(y)).all()
+
+
 class TestP1Continuity:
     def test_distance_to_bykov_decreases(self):
-        g = Grid(0, 0.5, 512)
-        b = constant(1.0, g)
-        ref = bykov_bound(1.0, b, Kernel(1, "1"), None, g)
+        ref = compute_bound(make_instance("bykov", 1.0, 0, 0.5, 512, a=1.0, b_expr="1", k="1"))
         dists = []
         for delta in (1e-1, 1e-2, 1e-3):
             inst = make_instance(
                 "thm22", 1.0 + delta, 0, 0.5, 512, a_expr="1", b_expr="1", k="1"
             )
             br = compute_bound(inst)
-            dists.append(np.abs(br.bound.values - ref.values).max())
+            dists.append(np.abs(br.bound.values - ref.bound.values).max())
         assert dists[0] > dists[1] > dists[2]
 
 
@@ -600,7 +627,7 @@ _THEOREM_NAMES = "('bykov', 'thm22', 'thm23', 'thm24', 'thm32', 'thm33', 'thm34'
     ("bykov", 2.0, {"a_const": 1.0, "b": "1"}, "bykov is the linear case and requires p = 1"),
     ("thm32", 1.0, {"a_const": 1.0, "b": "1"},
      "thm32 is undefined at p = 1 (the formulas contain 1/(1-p)); "
-     "use bykov_bound for the linear case"),
+     "use theorem bykov for the linear case"),
     ("thm22", 0.5, {"a_fn": "1", "b": "1"}, "thm22 requires p > 1, got 0.5"),
     ("thm32", -1.0, {"a_const": 1.0, "b": "1"}, "thm32 requires p >= 0, got -1.0"),
     # datum kind

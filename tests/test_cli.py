@@ -704,6 +704,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key, given, value, line", [
         ("a", "1", "inf", 7), ("a", "1", "nan", 7), ("p", "2", "inf", 4), ("p", "2", "nan", 4),
+        ("alpha", "0", "inf", 5), ("alpha", "0", "nan", 5),
+        ("beta", "0.9", "inf", 6), ("beta", "0.9", "nan", 6),
     ])
     def test_datum_and_exponent_must_be_finite(self, tmp_path, capsys, key, given, value, line):
         # a = inf passed `a > 0` and p = inf passed `p >= 0`; the bracket
@@ -715,6 +717,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"error: line {line}: {key} must be finite, got {value}\n"
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_interval_is_named_before_a_given_derivative(self, tmp_path, capsys):
+        # The k_dt_expr check samples [alpha, beta]: an infinite beta once sent
+        # its lattice through inf and NaN, with two warnings, and ended in
+        # "grid endpoints must be finite".
+        text = RICCATI_CONFIG.replace("beta = 0.9", "beta = inf").replace(
+            "b_expr = 1\n", "b_expr = 1\nk_expr = 0.5\nk_dt_expr = 0\n")
+        cfg = write(tmp_path, "n.cfg", text.replace("m = 1024", "m = 32"))
+        assert cli.main(["bound", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "error: line 6: beta must be finite, got inf\n"
 
     def test_nonfinite_sample_exit_2(self, tmp_path):
         text = RICCATI_CONFIG.replace("b_expr = 1", "b_expr = 1/(0.5-t)")

@@ -44,6 +44,5 @@ def test_picard_outcome_has_no_final_delta():
 
 
 def test_compute_bound_is_the_one_instance_entry_point():
-    # The other exported bounds take raw data, not an instance.
     names = {name for name in bounds.__all__ if name.endswith("_bound")}
-    assert names == {"compute_bound", "bykov_bound", "lemma21_bound", "lemma31_bound"}
+    assert names == {"compute_bound"}
