@@ -1,11 +1,14 @@
 """Config-driven command line: bound / verify / horizon / convergence / suite.
 
-Scenario configs are plain text, ``key = value`` lines grouped under
+Scenario configs are UTF-8 text, ``key = value`` lines grouped under
 ``[problem]``, ``[grid]``, ``[oracle]`` and ``[run]`` headers with ``#``
 comments.  Outputs are CSV with numbers at 17 significant digits and LF
 line endings, so identical configs (and seeds) produce bit-identical
-files.  Exit codes: 0 success / verification PASS, 1 verification FAIL,
-2 configuration or hypothesis error, or an oracle run or a convergence
+files.  ``--out`` rewrites an existing file in place and then cuts it to
+the new length, so the file holds exactly the new bytes and keeps its
+mode; any other path (``/dev/null``, a pipe) is only written.  Exit
+codes: 0 success / verification PASS, 1 verification FAIL, 2
+configuration or hypothesis error, or an oracle run or a convergence
 study that leaves nothing to compare.  ``main`` can be called repeatedly
 in one process; every call shares one argument parser, built on the
 first call.
@@ -26,6 +29,8 @@ import argparse
 import dataclasses
 import functools
 import itertools
+import os
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -258,8 +263,17 @@ class ScenarioConfig:
 
 def load_config(path: str) -> ScenarioConfig:
     """Parse and cross-validate a scenario file (expressions included)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = _parse_sections(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # The bytes before the bad one decode; count their lines as splitlines does.
+        line = len((raw[: err.start].decode("utf-8") + "x").splitlines())
+        raise ConfigError(
+            f"config is not UTF-8 text (byte 0x{raw[err.start]:02x})", line
+        ) from None
+    data = _parse_sections(text)
     problem = data["problem"]
     if "theorem" not in problem:
         raise ConfigError("[problem] theorem is required")
@@ -369,11 +383,17 @@ def _csv(header: str, *columns) -> str:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    """Write ``text`` to stdout, or over the file at ``out_path`` in place:
+    a regular file is cut to the new length only after the write, since
+    truncating a non-empty file to 0 makes ext4 and XFS start writeback at
+    ``close``, several times the cost of the write."""
     if out_path is None:
         sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return
+    with open(os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # not /dev/null or a pipe
+            fh.truncate()
 
 
 def cmd_bound(cfg: ScenarioConfig, out_path: str | None) -> int:

@@ -103,9 +103,9 @@ def sample(e: Expr, g: Grid) -> GridFunction:
     extra = free_variables(e) - {"t"}
     if extra:
         raise GridError(f"expression depends on {sorted(extra)}, expected only 't'")
-    vals = np.broadcast_to(
-        np.asarray(expr_mod.evaluate(e, {"t": g.nodes})), (g.m + 1,)
-    )
+    vals = expr_mod.evaluate(e, {"t": g.nodes})
+    if getattr(vals, "shape", None) != (g.m + 1,):  # a float, for a constant
+        vals = np.broadcast_to(vals, (g.m + 1,))
     finite = np.isfinite(vals)
     if not finite.all():
         j = int(np.argmin(finite))

@@ -544,14 +544,14 @@ def _log2_span(row: np.ndarray) -> float | None:
     when there are none), or None unless every sample is finite and
     nonnegative.  ``|log2|`` falls to 1 and rises after it, so the largest
     and the least positive samples attain the maximum."""
-    hi, lo = row.max(), row.min()
-    if not (lo >= 0.0 and hi < np.inf):  # NaN fails too
+    hi, lo = np.maximum.reduce(row), np.minimum.reduce(row)
+    if not (lo >= 0.0 and hi < math.inf):  # NaN fails too
         return None
     if lo == 0.0:
-        lo = row.min(where=row > 0.0, initial=np.inf)
-        if lo == np.inf:
+        lo = np.minimum.reduce(row, where=row > 0.0, initial=math.inf)
+        if lo == math.inf:
             return 0.0
-    return max(abs(np.log2(hi)), abs(np.log2(lo)))
+    return max(abs(math.log2(hi)), abs(math.log2(lo)))
 
 
 def _simplex_term(

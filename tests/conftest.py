@@ -12,17 +12,21 @@ u' = b u^p.
 and the Picard loop as they were before their bookkeeping was cut to one
 reduction per test (nodewise arrays, ``np.isfinite(w).all()``, ``delta``
 as ``|step| / scale``); the package must match them bit for bit.
+``reference_log2_span`` and ``reference_check`` keep ``kernels._log2_span``
+and ``bounds._check`` as they were before each was cut to one reduction
+(``ndarray.max``/``min`` and ``np.log2``; a nodewise test on every call).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import strategies as st
 
 from gronwall import expr
 from gronwall.bounds import HypothesisError, ProblemInstance
 from gronwall.expr import parse
 from gronwall.grid import Grid, GridFunction, _running_trapezoid_raw, sample
-from gronwall.kernels import Kernel, KernelError, KernelSet, _apply_parts
+from gronwall.kernels import NONNEG_TOL, Kernel, KernelError, KernelSet, _apply_parts
 from gronwall.oracle import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -34,6 +38,22 @@ from gronwall.oracle import (
 )
 
 ADMISSIBLE_RTOL = 1e-9
+
+# Values where a reduction and a nodewise test can part: signed zeros,
+# subnormals, the neighbours of NONNEG_TOL, NaN, the infinities and the top
+# of the float range.
+EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+    np.nextafter(NONNEG_TOL, -np.inf), NONNEG_TOL, np.nextafter(NONNEG_TOL, np.inf),
+    np.nan, np.inf, -np.inf, 1e308, -1e308, 1.0, 0.5, 2.0,
+)
+
+
+def edge_arrays(min_size=2, max_size=40):
+    """Float arrays that mix ``EDGE_FLOATS`` with any float, NaN and
+    infinities included."""
+    element = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(), st.floats(0.0, 10.0))
+    return st.lists(element, min_size=min_size, max_size=max_size).map(np.array)
 
 
 def gfn(g, source):
@@ -274,3 +294,29 @@ def reference_picard_extremal(inst, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         iterations=iterations,
         diverged_node=diverged_node,
     )
+
+
+def reference_log2_span(row):
+    """``kernels._log2_span`` with its earlier reductions and logs."""
+    hi, lo = row.max(), row.min()
+    if not (lo >= 0.0 and hi < np.inf):  # NaN fails too
+        return None
+    if lo == 0.0:
+        lo = row.min(where=row > 0.0, initial=np.inf)
+        if lo == np.inf:
+            return 0.0
+    return max(abs(np.log2(hi)), abs(np.log2(lo)))
+
+
+def reference_check(v, name, rule):
+    """``bounds._check`` with its earlier nodewise test on every call."""
+    if rule == "nondecreasing":
+        v = v[1:] - v[:-1]
+    bad = ~(v > 0) if rule == "positive" else v < NONNEG_TOL
+    if bad.any():
+        j = int(np.argmax(bad))
+        if rule == "nondecreasing":
+            found = f"it drops by {float(-v[j])} between nodes {j} and {j + 1}"
+        else:
+            found = f"node {j} has {float(v[j])}"
+        raise HypothesisError(f"{name} must be {rule}; {found}")

@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import at, constant, gfn, make_instance
+from conftest import at, constant, edge_arrays, gfn, make_instance, reference_check
 from gronwall import bounds
 from gronwall.bounds import (
     BoundResult,
@@ -130,6 +130,34 @@ class TestHorizonFastPath:
         assert str(err.value) == (
             "bound overflows at node 0 (value inf): the data are past the float range"
         )
+
+
+def _check_message(check, v, rule):
+    try:
+        check(v, "f(t)", rule)
+    except HypothesisError as err:
+        return str(err)
+    return None
+
+
+class TestCheckMatchesTheReference:
+    """``_check``'s one reduction against the nodewise test on every call:
+    the same message, or none, for each rule."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(edge_arrays())
+    @example(np.array([np.nan, -1.0]))  # a NaN minimum would hide the -1
+    @example(np.array([-1.0, np.nan, np.nan]))
+    @example(np.array([1.0, 1.0 - 1e-12, np.nan]))  # a drop just past NONNEG_TOL
+    @example(np.array([np.inf, np.inf, 1.0]))  # inf - inf is NaN
+    @example(np.array([np.nan, np.nan]))
+    @example(np.array([-0.0, 5e-324]))
+    def test_same_message(self, v):
+        for rule in ("positive", "nonnegative", "nondecreasing"):
+            with np.errstate(all="ignore"):
+                want = _check_message(reference_check, v, rule)
+                got = _check_message(bounds._check, v, rule)
+            assert got == want, (rule, v)
 
 
 class TestOverflowHorizon:

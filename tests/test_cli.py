@@ -413,6 +413,56 @@ class TestCsvBytes:
         assert cli._csv("a,b", x, y) == want
 
 
+class TestOutFile:
+    """``--out`` rewrites a file in place: exactly the new bytes, the file's
+    own mode, and any path that is not a regular file is only written."""
+
+    def test_shorter_output_leaves_no_stale_tail(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.cfg", CI_THM33_CONFIG)
+        out = tmp_path / "out.csv"
+        assert cli.main(["bound", "--config", cfg, "--out", str(out)]) == 0
+        longer = out.read_bytes()
+        assert cli.main(["horizon", "--config", cfg]) == 0
+        want = capsys.readouterr().out.encode()
+        assert len(want) < len(longer)
+        assert cli.main(["horizon", "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_bytes() == want
+        assert cli.main(["bound", "--config", cfg, "--out", str(out)]) == 0
+        assert out.read_bytes() == longer
+
+    def test_dev_null(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.cfg", CI_THM33_CONFIG)
+        assert cli.main(["bound", "--config", cfg, "--out", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        cfg = write(tmp_path, "c.cfg", CI_THM33_CONFIG)
+        out = tmp_path / "out.csv"
+        out.write_text("x" * 1000)
+        out.chmod(0o600)
+        assert cli.main(["bound", "--config", cfg, "--out", str(out)]) == 0
+        assert out.stat().st_mode & 0o777 == 0o600
+        assert out.read_text().startswith("t,bound\n0,1\n")
+
+    def test_read_only_file_exit_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.cfg", CI_THM33_CONFIG)
+        out = tmp_path / "out.csv"
+        out.write_text("old\n")
+        out.chmod(0o444)
+        if os.access(out, os.W_OK):
+            pytest.skip("this user may write a read-only file")
+        assert cli.main(["bound", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out.read_text() == "old\n"
+
+    def test_directory_exit_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "c.cfg", CI_THM33_CONFIG)
+        assert cli.main(["bound", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestSharedParser:
     """Every ``main`` call in a process parses with one parser; a call
     prints what the same command prints first in a fresh interpreter."""
@@ -935,6 +985,16 @@ class TestErrorContract:
         if rc != 2:
             printed = (out.getvalue() + err.getvalue()).lower()
             assert "nan" not in printed and "inf" not in printed, printed
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_config_that_is_not_utf8_exit_2(self, tmp_path, capsys, newline):
+        text = CI_THM33_CONFIG.replace("b_expr = 1\n", "b_expr = 1 # caf\u00e9\n")
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(text.replace("\n", newline).encode("latin-1"))
+        assert cli.main(["bound", "--config", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: line 7: config is not UTF-8 text (byte 0xe9)\n"
+        )
 
     @pytest.mark.parametrize("theorem, kernel", [
         ("cor35", "k_expr"), ("thm34", "b_expr = 1\nk1_expr"),

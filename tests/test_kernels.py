@@ -4,10 +4,13 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import constant, kernel_dt, make_instance, rhs_operator, separated
+from conftest import (
+    constant, edge_arrays, kernel_dt, make_instance, reference_log2_span, rhs_operator,
+    separated,
+)
 from gronwall import bounds, cli, expr, kernels, oracle
 from gronwall.bounds import ProblemInstance, compute_bound
 from gronwall.expr import BinOp, Call, Neg, Num, Var, evaluate, parse, rename_variables, separate
@@ -875,6 +878,24 @@ def _stacked_chain(k, g, n_diag, use_dt=False):
             return None
         parts.append((coef, fs))
     return parts
+
+
+class TestLog2Span:
+    """``_log2_span`` against its earlier reductions and ``np.log2``: the
+    same refusals, and spans within an ulp."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(edge_arrays(), edge_arrays().map(np.abs)))
+    @example(np.array([0.0, -0.0]))
+    @example(np.array([-0.0, 5e-324, 1e308]))
+    @example(np.array([0.0, np.nan]))
+    @example(np.array([1.0, np.inf]))
+    @example(np.array([0.75, 3.0, 1e-310]))
+    def test_matches_the_reference(self, row):
+        want, got = reference_log2_span(row), kernels._log2_span(row)
+        assert (got is None) == (want is None), row
+        if want is not None:
+            assert abs(got - want) <= math.ulp(want), row
 
 
 class TestChainSampling:
